@@ -1,19 +1,27 @@
 """Run configuration files.
 
 One text format: ``key = value`` pairs under ``[section]`` headers, parsed
-with the stdlib parser.  Sections are ``[model]``, ``[controls]``,
-``[scenario]`` and ``[run]``; sweep files add ``[sweep]``.  Every field has
-a default, unknown fields or sections are rejected by name, and
-``load_config(save_config(cfg)) == cfg`` holds exactly.
+with the stdlib parser; ``#`` starts a comment, also after a value.  Each
+section maps to one dataclass and its fields: ``[model]`` to
+``ModelParams``, ``[controls]`` to ``StepControls``, ``[run]`` to the scalar
+fields of ``RunConfig``, ``[scenario]`` to the scenario class named by
+``kind`` and, in sweep files, ``[sweep]`` to ``SweepSpec``.  Parsing,
+defaults and rendering are all derived from those fields, so every field has
+its dataclass default, unknown fields or sections (including fields of
+another scenario kind) are rejected by name, and
+``load_config(save_config(cfg)) == cfg`` holds exactly.  The
+``DYADIC_FLOW_THREADS`` environment variable, an integer, sets the default
+sweep parallelism.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from dyadicflow import analysis
 from dyadicflow.integrate import Scheme, StepControls
@@ -107,80 +115,66 @@ def build_initial_state(scenario: Scenario, trunc_k: int) -> DyadicState:
     raise ConfigError(f"unknown scenario object {scenario!r}")
 
 
-_SCHEME_TOKENS = {s.value: s for s in Scheme}
-_TAIL_TOKENS = {t.value: t for t in Tail}
+_DEFAULT = RunConfig()
+_SCENARIOS = {cls.kind: cls for cls in get_args(Scenario)}
+_NESTED = ("params", "controls", "scenario")  # RunConfig fields with their own section
+_NOUNS = {float: "number", int: "integer"}
 
-_KNOWN_FIELDS = {
-    "model": {"alpha", "trunc_k", "norm_s", "tail"},
-    "controls": {
-        "rel_tol", "abs_tol", "dt_init", "dt_min", "max_steps", "scheme", "record_every",
-    },
-    "scenario": {"kind", "k0", "q", "r", "amplitude", "rate", "values"},
-    "run": {"t_end", "delta", "checks", "output_prefix"},
+
+def _field_types(cls, skip=()) -> dict:
+    """Resolved type of each dataclass field, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+_FIELDS = {
+    "model": _field_types(ModelParams),
+    "controls": _field_types(StepControls),
+    "run": _field_types(RunConfig, skip=_NESTED),
+    "sweep": _field_types(SweepSpec, skip=("base",)),
 }
-_SWEEP_FIELDS = {"alphas", "ks", "parallelism"}
+_SCENARIO_FIELDS = {cls: _field_types(cls) for cls in _SCENARIOS.values()}
+_RUN_SECTIONS = ("model", "controls", "scenario", "run")
 
 
-class _SectionReader:
-    def __init__(self, parser, section, path):
-        self.raw = dict(parser[section]) if parser.has_section(section) else {}
-        self.section = section
-        self.path = path
-
-    def _fail(self, key, value, kind):
-        raise ConfigError(
-            f"{self.path}: [{self.section}] {key} = {value!r} is not a valid {kind}"
-        )
-
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
-
-    def get_float(self, key, default):
-        if key not in self.raw:
-            return default
-        try:
-            return float(self.raw[key])
-        except ValueError:
-            self._fail(key, self.raw[key], "number")
-
-    def get_int(self, key, default):
-        if key not in self.raw:
-            return default
-        try:
-            return int(self.raw[key])
-        except ValueError:
-            self._fail(key, self.raw[key], "integer")
-
-    def get_token(self, key, table, default):
-        if key not in self.raw:
-            return default
-        token = self.raw[key].strip().lower()
-        if token not in table:
-            raise ConfigError(
-                f"{self.path}: [{self.section}] {key} = {token!r} must be one of "
-                f"{sorted(table)}"
-            )
-        return table[token]
-
-    def get_floats(self, key, default):
-        if key not in self.raw:
-            return default
-        try:
-            return tuple(float(x) for x in self.raw[key].split(",") if x.strip())
-        except ValueError:
-            self._fail(key, self.raw[key], "comma-separated number list")
-
-    def get_ints(self, key, default):
-        if key not in self.raw:
-            return default
-        try:
-            return tuple(int(x) for x in self.raw[key].split(",") if x.strip())
-        except ValueError:
-            self._fail(key, self.raw[key], "comma-separated integer list")
+def _choose(where: str, raw: str, table: dict):
+    token = raw.strip().lower()
+    if token not in table:
+        raise ConfigError(f"{where} = {token!r} must be one of {sorted(table)}")
+    return table[token]
 
 
-def _parse_file(path, extra_sections=frozenset()):
-    parser = configparser.ConfigParser(interpolation=None)
+def _parse_value(where: str, raw: str, tp):
+    """Convert one raw value to the field type ``tp``; ``where`` names the field."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[Enum]: ``auto`` means None
+        (enum,) = (a for a in args if a is not type(None))
+        return _choose(where, raw, {**{m.value: m for m in enum}, "auto": None})
+    if origin is None and issubclass(tp, Enum):
+        return _choose(where, raw, {m.value: m for m in tp})
+    if tp is str:
+        return raw
+    try:
+        if origin is tuple:
+            return tuple(args[0](x.strip()) for x in raw.split(",") if x.strip())
+        return tp(raw)
+    except ValueError:
+        noun = f"comma-separated {_NOUNS[args[0]]} list" if origin is tuple else _NOUNS[tp]
+        raise ConfigError(f"{where} = {raw!r} is not a valid {noun}") from None
+
+
+def _parse_section(path, section: str, raw: dict, types: dict) -> dict:
+    values = {}
+    for key, value in raw.items():
+        if key not in types:
+            raise ConfigError(f"{path}: unknown field {key!r} in [{section}]")
+        values[key] = _parse_value(f"{path}: [{section}] {key}", value, types[key])
+    return values
+
+
+def _read_sections(path, sections) -> dict:
+    """Raw ``key: value`` pairs of each section; absent sections are empty."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
@@ -188,160 +182,97 @@ def _parse_file(path, extra_sections=frozenset()):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-
-    known = dict(_KNOWN_FIELDS)
-    for name in extra_sections:
-        known[name] = _SWEEP_FIELDS
     for section in parser.sections():
-        if section not in known:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in known[section]:
-                raise ConfigError(f"{path}: unknown field {key!r} in [{section}]")
-    return parser
+    return {s: dict(parser[s]) if parser.has_section(s) else {} for s in sections}
 
 
-def _config_from_parser(parser, path) -> RunConfig:
-    model = _SectionReader(parser, "model", path)
-    params = ModelParams(
-        alpha=model.get_float("alpha", 0.25),
-        trunc_k=model.get_int("trunc_k", 16),
-        norm_s=model.get_float("norm_s", 1.5),
-        tail=model.get_token("tail", _TAIL_TOKENS, Tail.PLATEAU),
-    )
-
-    ctrl = _SectionReader(parser, "controls", path)
-    scheme_table = dict(_SCHEME_TOKENS, auto=None)
-    controls = StepControls(
-        rel_tol=ctrl.get_float("rel_tol", 1e-8),
-        abs_tol=ctrl.get_float("abs_tol", 1e-11),
-        dt_init=ctrl.get_float("dt_init", 1e-3),
-        dt_min=ctrl.get_float("dt_min", 1e-13),
-        max_steps=ctrl.get_int("max_steps", 2_000_000),
-        scheme=ctrl.get_token("scheme", scheme_table, None),
-        record_every=ctrl.get_float("record_every", 0.01),
-    )
-
-    scen = _SectionReader(parser, "scenario", path)
-    kind = scen.get("kind", "bump").strip().lower()
-    if kind == "bump":
-        scenario: Scenario = BumpScenario()
-    elif kind == "front":
-        scenario = FrontScenario(
-            k0=scen.get_int("k0", 4),
-            q=scen.get_float("q", 1.2),
-            r=scen.get_float("r", 0.5),
-            amplitude=scen.get_float("amplitude", 1.0),
-        )
-    elif kind == "geometric":
-        scenario = GeometricScenario(rate=scen.get_float("rate", 0.5))
-    elif kind == "custom":
-        scenario = CustomScenario(values=scen.get_floats("values", ()))
-    else:
-        raise ConfigError(
-            f"{path}: [scenario] kind = {kind!r} must be one of "
-            "['bump', 'custom', 'front', 'geometric']"
-        )
-
-    run = _SectionReader(parser, "run", path)
-    checks_raw = run.get("checks")
-    if checks_raw is None:
-        checks = ("monotone_nonneg", "max_principle")
-    else:
-        checks = tuple(x.strip() for x in checks_raw.split(",") if x.strip())
-    for name in checks:
+def _run_config(path, raw: dict) -> RunConfig:
+    model = _parse_section(path, "model", raw["model"], _FIELDS["model"])
+    controls = _parse_section(path, "controls", raw["controls"], _FIELDS["controls"])
+    scen = dict(raw["scenario"])
+    kind = scen.pop("kind", _DEFAULT.scenario.kind)
+    scenario_cls = _choose(f"{path}: [scenario] kind", kind, _SCENARIOS)
+    scenario = _parse_section(path, "scenario", scen, _SCENARIO_FIELDS[scenario_cls])
+    run = _parse_section(path, "run", raw["run"], _FIELDS["run"])
+    for name in run.get("checks", ()):
         if name not in analysis.CHECKS:
             raise ConfigError(
                 f"{path}: unknown check {name!r}; known: {sorted(analysis.CHECKS)}"
             )
-
     try:
-        return RunConfig(
-            params=params,
-            controls=controls,
-            scenario=scenario,
-            t_end=run.get_float("t_end", 1.0),
-            delta=run.get_float("delta", 0.5),
-            checks=checks,
-            output_prefix=run.get("output_prefix", "out/run"),
+        return replace(
+            _DEFAULT,
+            params=replace(_DEFAULT.params, **model),
+            controls=replace(_DEFAULT.controls, **controls),
+            scenario=scenario_cls(**scenario),
+            **run,
         )
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _default_parallelism() -> int:
+    raw = os.environ.get(PARALLELISM_ENV, "")
+    try:
+        value = int(raw or "1")
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"{PARALLELISM_ENV} = {raw!r} is not a positive integer")
+    return value
 
 
 def load_config(path) -> RunConfig:
     """Parse a run configuration, filling defaults for absent fields."""
-    parser = _parse_file(path)
-    return _config_from_parser(parser, path)
+    return _run_config(path, _read_sections(path, _RUN_SECTIONS))
 
 
 def load_sweep(path) -> SweepSpec:
     """Parse a sweep file: a run configuration plus a [sweep] section."""
-    parser = _parse_file(path, extra_sections={"sweep"})
-    base = _config_from_parser(parser, path)
-    sweep = _SectionReader(parser, "sweep", path)
-    default_par = int(os.environ.get(PARALLELISM_ENV, "1") or "1")
+    raw = _read_sections(path, (*_RUN_SECTIONS, "sweep"))
+    base = _run_config(path, raw)
+    values = dict(
+        alphas=(base.params.alpha,),
+        ks=(base.params.trunc_k,),
+        parallelism=_default_parallelism(),
+    )
+    values.update(_parse_section(path, "sweep", raw["sweep"], _FIELDS["sweep"]))
     try:
-        return SweepSpec(
-            alphas=sweep.get_floats("alphas", (base.params.alpha,)),
-            ks=sweep.get_ints("ks", (base.params.trunc_k,)),
-            base=base,
-            parallelism=sweep.get_int("parallelism", default_par),
-        )
+        return SweepSpec(base=base, **values)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _scenario_lines(s: Scenario) -> list[str]:
-    if isinstance(s, BumpScenario):
-        return ["kind = bump"]
-    if isinstance(s, FrontScenario):
-        return [
-            "kind = front", f"k0 = {s.k0}", f"q = {s.q!r}", f"r = {s.r!r}",
-            f"amplitude = {s.amplitude!r}",
-        ]
-    if isinstance(s, GeometricScenario):
-        return ["kind = geometric", f"rate = {s.rate!r}"]
-    return ["kind = custom", "values = " + ",".join(repr(v) for v in s.values)]
+def _fmt(value) -> str:
+    """Render one field value so that parsing it gives the value back."""
+    if value is None:
+        return "auto"
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _section_text(section: str, obj, names, head=()) -> str:
+    lines = [f"{name} = {_fmt(getattr(obj, name))}" for name in names]
+    return "\n".join([f"[{section}]", *head, *lines])
 
 
 def config_text(cfg: RunConfig, sweep: Optional[SweepSpec] = None) -> str:
     """Render a configuration (optionally with a sweep section) as file text."""
-    p, c = cfg.params, cfg.controls
-    lines = [
-        "[model]",
-        f"alpha = {p.alpha!r}",
-        f"trunc_k = {p.trunc_k}",
-        f"norm_s = {p.norm_s!r}",
-        f"tail = {p.tail.value}",
-        "",
-        "[controls]",
-        f"rel_tol = {c.rel_tol!r}",
-        f"abs_tol = {c.abs_tol!r}",
-        f"dt_init = {c.dt_init!r}",
-        f"dt_min = {c.dt_min!r}",
-        f"max_steps = {c.max_steps}",
-        "scheme = " + ("auto" if c.scheme is None else c.scheme.value),
-        f"record_every = {c.record_every!r}",
-        "",
-        "[scenario]",
-        *_scenario_lines(cfg.scenario),
-        "",
-        "[run]",
-        f"t_end = {cfg.t_end!r}",
-        f"delta = {cfg.delta!r}",
-        "checks = " + ",".join(cfg.checks),
-        f"output_prefix = {cfg.output_prefix}",
+    scen = cfg.scenario
+    blocks = [
+        _section_text("model", cfg.params, _FIELDS["model"]),
+        _section_text("controls", cfg.controls, _FIELDS["controls"]),
+        _section_text("scenario", scen, _SCENARIO_FIELDS[type(scen)], [f"kind = {scen.kind}"]),
+        _section_text("run", cfg, _FIELDS["run"]),
     ]
     if sweep is not None:
-        lines += [
-            "",
-            "[sweep]",
-            "alphas = " + ",".join(repr(a) for a in sweep.alphas),
-            "ks = " + ",".join(str(k) for k in sweep.ks),
-            f"parallelism = {sweep.parallelism}",
-        ]
-    return "\n".join(lines) + "\n"
+        blocks.append(_section_text("sweep", sweep, _FIELDS["sweep"]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def save_config(cfg: RunConfig, path, sweep: Optional[SweepSpec] = None) -> None:

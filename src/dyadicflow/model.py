@@ -305,13 +305,18 @@ def rhs_full(params: ModelParams, state: DyadicState) -> np.ndarray:
     return out
 
 
-def _weighted_diffs(a: np.ndarray, s: float) -> np.ndarray:
-    """``|a_k - a_{k-1}| * 2**(s*k)`` for k >= 1, with 0 * inf -> 0."""
-    d = np.abs(np.diff(a))
+def _signed_weighted_diffs(a: np.ndarray, s: float) -> np.ndarray:
+    """``(a_k - a_{k-1}) * 2**(s*k)`` for k >= 1, with 0 * inf -> 0."""
+    d = np.diff(a)
     w = np.exp2(s * np.arange(1, a.size, dtype=float))
     with np.errstate(invalid="ignore"):
         prod = d * w
     return np.where(d == 0.0, 0.0, prod)
+
+
+def _weighted_diffs(a: np.ndarray, s: float) -> np.ndarray:
+    """``|a_k - a_{k-1}| * 2**(s*k)`` for k >= 1 (the weight is positive)."""
+    return np.abs(_signed_weighted_diffs(a, s))
 
 
 def xs_norm(state: DyadicState, s: float) -> float:
@@ -341,14 +346,7 @@ def weighted_slopes(state: DyadicState, s: float) -> WeightedSlopeVector:
     """Weighted slope variables ``b_{k,s} = (a_k - a_{k-1}) * 2**(s*k)``."""
     if not (s > 0.0):
         raise DomainError(f"s must be > 0, got {s}")
-    a = state.a
-    bs = np.empty(a.size)
-    bs[0] = 0.0
-    d = np.diff(a)
-    w = np.exp2(s * np.arange(1, a.size, dtype=float))
-    with np.errstate(invalid="ignore"):
-        prod = d * w
-    bs[1:] = np.where(d == 0.0, 0.0, prod)
+    bs = np.concatenate(([0.0], _signed_weighted_diffs(state.a, s)))
     return WeightedSlopeVector(bs=bs, s=s)
 
 

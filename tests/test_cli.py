@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import dyadicflow
 from dyadicflow.cli import main, run_scan, run_simulation, semigroup_norm_series
 from dyadicflow.config import (
     FrontScenario,
@@ -199,10 +200,14 @@ class TestSemigroup:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path, _ = write_cfg(tmp_path)
+        # the child must import the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(dyadicflow.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dyadicflow", "simulate", "--config", str(path)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert proc.stdout.count("\n") == 1

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,41 @@ class TestConfig:
         monkeypatch.setenv("DYADIC_FLOW_THREADS", "6")
         spec = load_sweep(path)
         assert spec.parallelism == 6
+        monkeypatch.setenv("DYADIC_FLOW_THREADS", "")
+        assert load_sweep(path).parallelism == 1
+        monkeypatch.delenv("DYADIC_FLOW_THREADS")
+        assert load_sweep(path).parallelism == 1
+        for bad in ("two", "0"):
+            monkeypatch.setenv("DYADIC_FLOW_THREADS", bad)
+            with pytest.raises(ConfigError, match="DYADIC_FLOW_THREADS"):
+                load_sweep(path)
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        cfg = RunConfig(params=ModelParams(alpha=np.float64(0.3), trunc_k=np.int64(12)))
+        path = tmp_path / "np.cfg"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
+    def test_field_of_other_scenario_kind_named(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[scenario]\nkind = bump\nrate = 0.3\n")
+        with pytest.raises(ConfigError, match="rate"):
+            load_config(path)
+
+    def test_readme_examples_load(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        run_block, sweep_block = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "run.cfg"
+        path.write_text(run_block)
+        cfg = load_config(path)
+        assert cfg.params.alpha == 0.3
+        assert isinstance(cfg.scenario, FrontScenario)
+        assert cfg.controls.scheme is None
+        path.write_text(run_block + "\n" + sweep_block)
+        monkeypatch.delenv("DYADIC_FLOW_THREADS", raising=False)
+        spec = load_sweep(path)
+        assert spec.base == cfg
+        assert spec.ks == (12, 16, 20)
 
     def test_build_initial_state_dispatch(self):
         s = build_initial_state(FrontScenario(k0=3, q=1.3, r=0.5), 6)
