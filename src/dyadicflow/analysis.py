@@ -125,19 +125,14 @@ def check_monotone_nonneg(state: DyadicState, tolerance: float = 1e-10) -> Invar
 def slope_ratio_report(state: DyadicState, rel_floor: float = 1e-14) -> SlopeRatioReport:
     """Max of ``b_k / b_{k-1}`` over k >= 2, skipping negligible denominators."""
     b = _slopes_array(state.a)
-    bmax = float(np.max(np.abs(b)))
-    floor = rel_floor * bmax
-    best = None
-    arg = None
-    skipped = 0
-    for k in range(2, b.size):
-        if abs(b[k - 1]) <= floor:
-            skipped += 1
-            continue
-        ratio = b[k] / b[k - 1]
-        if best is None or ratio > best:
-            best, arg = ratio, k
-    return SlopeRatioReport(max_ratio=best, argmax=arg, skipped=skipped)
+    mag = np.abs(b)
+    kept = mag[1:-1] > rel_floor * mag.max()
+    skipped = kept.size - int(np.count_nonzero(kept))
+    if skipped == kept.size:
+        return SlopeRatioReport(max_ratio=None, argmax=None, skipped=skipped)
+    ratios = np.divide(b[2:], b[1:-1], out=np.full(kept.size, -np.inf), where=kept)
+    i = int(ratios.argmax())  # the first maximum wins ties
+    return SlopeRatioReport(max_ratio=float(ratios[i]), argmax=i + 2, skipped=skipped)
 
 
 def front_index(state: DyadicState) -> int:

@@ -182,6 +182,8 @@ def _read_sections(path, sections) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")

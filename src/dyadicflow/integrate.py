@@ -12,7 +12,8 @@ Three schemes are provided:
 * ``REFERENCE_FIXED_RK4`` -- classical fixed-step RK4 with compensated
   (Kahan) state accumulation, used as a cross-validation reference.
 
-The default for dissipative runs is the IMEX scheme.
+The default for dissipative runs is the IMEX scheme.  :func:`step` and
+:func:`integrate` share one step-size controller, :func:`_attempt`.
 """
 
 from __future__ import annotations
@@ -301,6 +302,33 @@ def _diagnostics(state: DyadicState, norm_s: float, delta: float) -> Diagnostics
     )
 
 
+def _attempt(stepper, t, y, h, controls: StepControls):
+    """Run one attempt of size ``h`` from ``(t, y)`` and decide it.
+
+    Returns ``(y_new, err, h_next)``, with ``y_new`` and ``err`` None when the
+    step is rejected.  Raises :class:`EscapeSignal` on a non-finite step that
+    cannot shrink and :class:`StepUnderflowError` below ``dt_min``.
+    """
+    y_new, err = stepper.attempt(t, y, h)
+    if not np.all(np.isfinite(y_new)):
+        err_norm = math.inf
+    elif stepper.adaptive:
+        err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
+    else:
+        return y_new, err, h
+    if not math.isfinite(err_norm) and (not stepper.adaptive or h <= 4.0 * controls.dt_min):
+        raise EscapeSignal(f"non-finite state after step at t={t + h:.6g}")
+    # embedded-pair rule (Hairer-Norsett-Wanner, Solving ODEs I, II.4)
+    accepted = err_norm <= 1.0
+    cap = 5.0 if accepted else 1.0
+    fac = cap if err_norm == 0.0 else min(cap, max(0.2, 0.9 * err_norm**-stepper.err_exponent))
+    if accepted:
+        return y_new, err, h * fac
+    if h * fac < controls.dt_min:
+        raise StepUnderflowError(f"step size underflow at t={t:.6g}")
+    return None, None, h * fac
+
+
 def step(
     params: ModelParams,
     state: DyadicState,
@@ -319,31 +347,13 @@ def step(
     _check_state(params, state)
     stepper, _ = _make_stepper(params, controls, nonlinear=True)
     y = state.a.copy()
-    h = dt
-    while True:
-        y_new, err = stepper.attempt(state.t, y, h)
-        if not stepper.adaptive:
-            if not np.all(np.isfinite(y_new)):
-                raise EscapeSignal(f"non-finite state after step at t={state.t + h:.6g}")
-            return DyadicState(t=state.t + h, a=y_new), 0.0, h
-        if not np.all(np.isfinite(y_new)):
-            err_norm = math.inf
-        else:
-            err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
-        if err_norm <= 1.0:
-            fac = 5.0 if err_norm == 0.0 else min(
-                5.0, max(0.2, 0.9 * err_norm**-stepper.err_exponent)
-            )
-            return (
-                DyadicState(t=state.t + h, a=y_new),
-                float(np.max(np.abs(err))),
-                h * fac,
-            )
-        if not math.isfinite(err_norm) and h <= 4.0 * controls.dt_min:
-            raise EscapeSignal(f"non-finite state after step at t={state.t + h:.6g}")
-        h *= min(1.0, max(0.2, 0.9 * err_norm**-stepper.err_exponent))
-        if h < controls.dt_min:
-            raise StepUnderflowError(f"step size underflow at t={state.t:.6g}")
+    y_new, h_next = None, dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        while y_new is None:
+            h = h_next
+            y_new, err, h_next = _attempt(stepper, state.t, y, h, controls)
+    err_max = 0.0 if err is None else float(np.max(np.abs(err)))
+    return DyadicState(t=state.t + h, a=y_new), err_max, h_next
 
 
 def integrate(
@@ -431,49 +441,35 @@ def integrate(
     dt = min(controls.dt_init, controls.record_every)
     attempts = 0
 
-    for target in rec:
-        while t < target:
-            attempts += 1
-            if attempts > controls.max_steps:
-                termination = Termination.MAX_STEPS_EXCEEDED
-                break
-            remaining = target - t
-            h = min(dt, remaining)
-            lands = h >= remaining
-            y_new, err = stepper.attempt(t, y, h)
-
-            if stepper.adaptive:
-                if not np.all(np.isfinite(y_new)):
-                    err_norm = math.inf
-                else:
-                    err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
-                if err_norm > 1.0:
-                    if not math.isfinite(err_norm) and h <= 4.0 * controls.dt_min:
-                        termination = Termination.ESCAPE_DETECTED
-                        escape_time = t
-                        break
-                    shrink = min(1.0, max(0.2, 0.9 * err_norm**-stepper.err_exponent))
-                    dt = h * shrink
-                    if dt < controls.dt_min:
-                        termination = Termination.STEP_UNDERFLOW
-                        break
+    # overflow inside an attempt is caught by the isfinite checks of _attempt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in rec:
+            while t < target:
+                attempts += 1
+                if attempts > controls.max_steps:
+                    termination = Termination.MAX_STEPS_EXCEEDED
+                    break
+                remaining = target - t
+                h = min(dt, remaining)
+                lands = h >= remaining
+                try:
+                    y_new, _, prop = _attempt(stepper, t, y, h, controls)
+                except EscapeSignal:
+                    termination, escape_time = Termination.ESCAPE_DETECTED, t
+                    break
+                except StepUnderflowError:
+                    termination = Termination.STEP_UNDERFLOW
+                    break
+                if y_new is None:
+                    dt = prop
                     continue
-                fac = 5.0 if err_norm == 0.0 else min(
-                    5.0, max(0.2, 0.9 * err_norm**-stepper.err_exponent)
-                )
-                prop = h * fac
                 dt = prop if (not lands or prop > dt) else dt
-            elif not np.all(np.isfinite(y_new)):
-                termination = Termination.ESCAPE_DETECTED
-                escape_time = t
+                y = y_new
+                t = target if lands else t + h
+            if termination is not None:
                 break
-
-            y = y_new
-            t = target if lands else t + h
-        if termination is not None:
-            break
-        if snapshot(t, y.copy()):
-            break
+            if snapshot(t, y.copy()):
+                break
 
     if termination is None:
         termination = Termination.REACHED_T_END

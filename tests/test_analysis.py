@@ -82,6 +82,36 @@ class TestSlopeRatios:
         assert rep.argmax is None
         assert rep.skipped == 2
 
+    def test_matches_loop_reference(self, rng):
+        from dyadicflow.model import _slopes_array
+
+        def loop_report(st, rel_floor=1e-14):
+            b = _slopes_array(st.a)
+            floor = rel_floor * float(np.max(np.abs(b)))
+            best = arg = None
+            skipped = 0
+            for k in range(2, b.size):
+                if abs(b[k - 1]) <= floor:
+                    skipped += 1
+                    continue
+                ratio = b[k] / b[k - 1]
+                if best is None or ratio > best:
+                    best, arg = ratio, k
+            return best, arg, skipped
+
+        cases = [
+            state([0, 1]),
+            state([0, 0, 0, 0]),
+            state_from_slopes([0, 1, 2, 2, 4, 4]),  # tied maxima at k = 2 and 4
+            state_from_slopes([0, 1, 0, 5, 0, 3]),  # two zero denominators
+            state_from_slopes([0, 1, 1e-20, 5, -2, 3]),  # one negligible
+        ]
+        cases += [random_monotone_state(rng, 12) for _ in range(20)]
+        cases += [state(rng.standard_normal(9)) for _ in range(20)]
+        for st in cases:
+            rep = slope_ratio_report(st)
+            assert (rep.max_ratio, rep.argmax, rep.skipped) == loop_report(st)
+
 
 class TestFrontIndex:
     def test_examples(self):

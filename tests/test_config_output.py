@@ -69,9 +69,15 @@ class TestConfig:
 
     def test_unknown_section_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("[modle]\nalpha = 0.3\n")
-        with pytest.raises(ConfigError, match="modle"):
-            load_config(path)
+        for text, name in [
+            ("[modle]\nalpha = 0.3\n", "modle"),
+            # configparser would merge [DEFAULT] keys into every other section
+            ("[DEFAULT]\nalpha = 0.3\n[model]\ntrunc_k = 8\n", "DEFAULT"),
+            ("[DEFAULT]\nalpha = 0.3\n[model]\ntrunc_k = 8\n[run]\nt_end = 1.0\n", "DEFAULT"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=rf"unknown section \[{name}\]"):
+                load_config(path)
 
     def test_unknown_check_named(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dyadicflow.integrate import (
     IntegrationAbortError,
     Scheme,
     StepControls,
+    StepUnderflowError,
     Termination,
     Trajectory,
     detect_escape,
@@ -66,6 +68,48 @@ class TestStep:
         p = ModelParams(alpha=0.0, trunc_k=2)
         with pytest.raises(DomainError):
             step(p, DyadicState(t=0.0, a=[0, 1, 1]), StepControls(), 0.0)
+
+    @pytest.mark.parametrize(
+        "scheme, tol",
+        [
+            (Scheme.EXPLICIT_ADAPTIVE, 0.0),
+            (Scheme.DUHAMEL_IMEX, 0.0),
+            # step() builds a fresh stepper each call, dropping the Kahan carry
+            (Scheme.REFERENCE_FIXED_RK4, 1e-15),
+        ],
+    )
+    def test_chained_steps_match_integrate(self, scheme, tol):
+        # step() and integrate() share one controller: chaining step() on
+        # its own proposals retraces integrate() over a single record interval
+        t_end = 0.2
+        p = ModelParams(alpha=0.35, trunc_k=8)
+        c = StepControls(scheme=scheme, record_every=t_end)
+        s, dt = gen_front(8, 3, 1.2, 0.5), c.dt_init
+        while s.t < t_end:
+            s, _, dt = step(p, s, c, min(dt, t_end - s.t))
+        traj = integrate(p, gen_front(8, 3, 1.2, 0.5), t_end, c)
+        assert s.t == traj.final_state.t == t_end
+        assert np.max(np.abs(s.a - traj.final_state.a)) <= tol
+
+    def test_underflow_raises(self):
+        # the setup of TestIntegrate.test_step_underflow_termination
+        p = ModelParams(alpha=0.45, trunc_k=12)
+        c = StepControls(
+            rel_tol=1e-13, abs_tol=1e-16, dt_init=1e-2, dt_min=8e-3,
+            scheme=Scheme.EXPLICIT_ADAPTIVE,
+        )
+        with pytest.raises(StepUnderflowError):
+            step(p, gen_front(12, 4, 1.3, 0.5), c, c.dt_init)
+
+    def test_nonfinite_raises_escape(self):
+        # the setup of TestIntegrate.test_nonfinite_state_is_escape: fixed
+        # RK4 overflows within a few steps, without leaking numpy warnings
+        p = ModelParams(alpha=0.45, trunc_k=12)
+        c = StepControls(dt_init=0.05, scheme=Scheme.REFERENCE_FIXED_RK4)
+        s = gen_front(12, 4, 1.3, 0.5)
+        with pytest.raises(EscapeSignal):
+            for _ in range(20):
+                s, _, _ = step(p, s, c, c.dt_init)
 
 
 class TestIntegrate:
@@ -188,6 +232,25 @@ class TestIntegrate:
             traj = integrate(p, gen_front(12, 4, 1.3, 0.5), 1.0, c,
                              monotone_abort_tol=math.inf)
         assert traj.termination is Termination.ESCAPE_DETECTED
+
+    @pytest.mark.parametrize("scheme", [Scheme.EXPLICIT_ADAPTIVE, Scheme.REFERENCE_FIXED_RK4])
+    def test_overflow_warnings_do_not_leak(self, scheme):
+        # a large front at K=64 overflows inside the step attempts; the
+        # isfinite checks stop the run, so numpy must stay silent
+        p = ModelParams(alpha=0.25, trunc_k=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(p, gen_front(64, 4, 1.2, 0.5, 10.0), 0.2,
+                             StepControls(scheme=scheme))
+        assert traj.termination is not Termination.REACHED_T_END
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_cadence_longer_than_run(self, scheme):
+        p = ModelParams(alpha=0.3, trunc_k=2)
+        traj = integrate(p, gen_geometric(2, 0.5), 0.05,
+                         StepControls(scheme=scheme, record_every=0.2))
+        assert traj.termination is Termination.REACHED_T_END
+        assert traj.times.tolist() == [0.0, 0.05]
 
     def test_escape_time_refines_with_truncation(self):
         # deeper truncations see larger weighted norms, so a fixed threshold
