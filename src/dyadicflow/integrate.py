@@ -8,12 +8,15 @@ Three schemes are provided:
   dissipative flow enters through the exact matrix exponential (computed by
   scaling-and-squaring, i.e. a power-of-two substepped rational solve) and
   the quadratic transport term is treated explicitly, so the step size is
-  set by the nonlinearity rather than the fastest dissipative rate.
+  set by the nonlinearity rather than the fastest dissipative rate.  Its
+  step sizes are rounded down to the ladder ``record_every * 2**-j``, so
+  each exponential table is built once per run and size, not per attempt.
 * ``REFERENCE_FIXED_RK4`` -- classical fixed-step RK4 with compensated
   (Kahan) state accumulation, used as a cross-validation reference.
 
 The default for dissipative runs is the IMEX scheme.  :func:`step` and
-:func:`integrate` share one step-size controller, :func:`_attempt`.
+:func:`integrate` share one step-size controller, :func:`_attempt`; it
+snaps the proposals of a stepper whose ``ladder`` attribute is set.
 """
 
 from __future__ import annotations
@@ -167,6 +170,7 @@ _DP_E = np.array(
 class _DormandPrince:
     err_exponent = 1.0 / 5.0
     adaptive = True
+    ladder = False
 
     def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray]):
         self.rhs = rhs
@@ -187,6 +191,7 @@ class _ImexEtd2:
 
     err_exponent = 1.0 / 2.0
     adaptive = True
+    ladder = True  # step sizes record_every * 2**-j, so each table is built once
     _cache_limit = 256
 
     def __init__(self, m: Optional[np.ndarray], nonlinear: Callable[[np.ndarray], np.ndarray]):
@@ -228,6 +233,7 @@ class _Rk4Kahan:
     """Classical RK4 with a compensated state accumulator."""
 
     adaptive = False
+    ladder = False
 
     def __init__(self, rhs):
         self.rhs = rhs
@@ -322,11 +328,19 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     accepted = err_norm <= 1.0
     cap = 5.0 if accepted else 1.0
     fac = cap if err_norm == 0.0 else min(cap, max(0.2, 0.9 * err_norm**-stepper.err_exponent))
+    h_next = h * fac
+    if stepper.ladder:
+        # down to the ladder record_every * 2**-j, on which record times fall
+        r = controls.record_every
+        h_next = math.ldexp(r, -max(0, math.ceil(math.log2(r / h_next))))
+        if accepted and h_next < controls.dt_min:
+            # the lowest rung at or above dt_min
+            h_next = math.ldexp(r, -max(0, math.floor(math.log2(r / controls.dt_min))))
     if accepted:
-        return y_new, err, h * fac
-    if h * fac < controls.dt_min:
+        return y_new, err, h_next
+    if h_next < controls.dt_min:
         raise StepUnderflowError(f"step size underflow at t={t:.6g}")
-    return None, None, h * fac
+    return None, None, h_next
 
 
 def step(
@@ -405,7 +419,7 @@ def integrate(
     termination: Optional[Termination] = None
     escape_time: Optional[float] = None
 
-    def snapshot(t, y, check_escape=True) -> bool:
+    def snapshot(t, y) -> bool:
         """Record a sample; True when the run should stop (escape/guard)."""
         nonlocal termination, escape_time
         st = DyadicState(t=t, a=y)
@@ -417,7 +431,7 @@ def integrate(
             if worst < -monotone_abort_tol:
                 idx = int(np.argmin(np.concatenate([[y[0]], d])))
                 raise IntegrationAbortError(t, idx, worst)
-        if check_escape and diag.xs_norm > threshold:
+        if diag.xs_norm > threshold:
             termination = Termination.ESCAPE_DETECTED
             escape_time = t
             return True
@@ -450,8 +464,9 @@ def integrate(
                     termination = Termination.MAX_STEPS_EXCEEDED
                     break
                 remaining = target - t
-                h = min(dt, remaining)
-                lands = h >= remaining
+                # rounding drifts t off the ladder: land rather than leave a sliver
+                lands = dt >= remaining or (stepper.ladder and remaining - dt < controls.dt_min)
+                h = remaining if lands else dt
                 try:
                     y_new, _, prop = _attempt(stepper, t, y, h, controls)
                 except EscapeSignal:
@@ -474,9 +489,10 @@ def integrate(
     if termination is None:
         termination = Termination.REACHED_T_END
     elif termination is not Termination.ESCAPE_DETECTED and samples[-1].t < t:
-        # partial run: keep the last reached point for post-mortem inspection
+        # partial run: keep the last reached point for post-mortem inspection;
+        # a state past the threshold reports the escape, whatever stopped the run
         if np.all(np.isfinite(y)):
-            snapshot(t, y.copy(), check_escape=False)
+            snapshot(t, y.copy())
 
     return Trajectory(params, delta, tuple(samples), termination, escape_time)
 

@@ -19,6 +19,7 @@ Everything in this module is a pure function of immutable values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -283,11 +284,18 @@ def rhs_inviscid(state: DyadicState) -> np.ndarray:
     return _rhs_inviscid_array(state.a)
 
 
+@functools.lru_cache(maxsize=64)
+def _transport_scale(size: int) -> np.ndarray:
+    """Read-only ``2**k`` for k = 1 .. size - 1, shared by every caller."""
+    w = np.exp2(np.arange(1, size, dtype=float))
+    w.flags.writeable = False
+    return w
+
+
 def _rhs_inviscid_array(a: np.ndarray) -> np.ndarray:
     out = np.empty(a.size)
     out[0] = 0.0
-    karr = np.arange(1, a.size, dtype=float)
-    out[1:] = -np.diff(a) ** 2 * np.exp2(karr)
+    out[1:] = -(a[1:] - a[:-1]) ** 2 * _transport_scale(a.size)
     return out
 
 
@@ -301,7 +309,7 @@ def rhs_full(params: ModelParams, state: DyadicState) -> np.ndarray:
         raise DomainError("rhs_full requires alpha > 0; use rhs_inviscid at alpha = 0")
     a = _check_state(params, state)
     out = -_dissipation_array(a, params.alpha, params.tail)
-    out[1:] -= np.diff(a) ** 2 * np.exp2(np.arange(1, a.size, dtype=float))
+    out[1:] -= (a[1:] - a[:-1]) ** 2 * _transport_scale(a.size)
     return out
 
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -26,6 +27,9 @@ from dyadicflow.integrate import (
 )
 from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric
 from conftest import random_monotone_state
+
+# the package re-exports the function ``integrate`` under the module's name
+integrate_module = importlib.import_module("dyadicflow.integrate")
 
 
 def constant_state(n, c=0.7):
@@ -245,6 +249,32 @@ class TestIntegrate:
         assert traj.termination is not Termination.REACHED_T_END
 
     @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_blowup_is_escape_in_every_scheme(self, scheme):
+        # one blow-up, one termination reason: Dormand-Prince stops on step
+        # underflow far past the threshold, RK4 on a non-finite step and
+        # IMEX at a recorded sample; all three report the escape
+        p = ModelParams(alpha=0.25, trunc_k=64)
+        traj = integrate(p, gen_front(64, 4, 1.2, 0.5, 10.0), 0.2,
+                         StepControls(scheme=scheme))
+        assert traj.termination is Termination.ESCAPE_DETECTED
+        assert traj.escape_time is not None
+
+    def test_imex_accuracy_at_benchmark_setup(self):
+        # the default dissipative run (front amplitude 10, alpha 0.25, K 16)
+        # against a tight Dormand-Prince solve; 1e-6 relative sup-gap
+        p = ModelParams(alpha=0.25, trunc_k=16)
+        s0 = gen_front(16, 4, 1.2, 0.5, 10.0)
+        imex = integrate(p, s0, 0.25, StepControls(scheme=Scheme.DUHAMEL_IMEX))
+        reference = integrate(
+            p, s0, 0.25,
+            StepControls(rel_tol=1e-12, abs_tol=1e-14, scheme=Scheme.EXPLICIT_ADAPTIVE,
+                         record_every=0.25),
+        )
+        ref = reference.final_state.a
+        gap = np.max(np.abs(imex.final_state.a - ref)) / np.max(np.abs(ref))
+        assert gap <= 1e-6
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
     def test_cadence_longer_than_run(self, scheme):
         p = ModelParams(alpha=0.3, trunc_k=2)
         traj = integrate(p, gen_geometric(2, 0.5), 0.05,
@@ -378,3 +408,86 @@ class TestPhiTables:
         np.testing.assert_allclose(e, exp_s, atol=1e-12)
         np.testing.assert_allclose(p1, phi1_s, atol=1e-12)
         np.testing.assert_allclose(p2, phi2_s, atol=1e-12)
+
+
+class TestStepLadder:
+    """IMEX steps are restricted to ``record_every * 2**-j``."""
+
+    @staticmethod
+    def _log_attempts(monkeypatch):
+        log = []
+        original = integrate_module._ImexEtd2.attempt
+
+        def attempt(self, t, y, dt):
+            log.append((t, dt))
+            return original(self, t, y, dt)
+
+        monkeypatch.setattr(integrate_module._ImexEtd2, "attempt", attempt)
+        return log
+
+    def test_tables_built_once(self, monkeypatch):
+        calls = []
+        original = integrate_module.expm
+
+        def expm(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(integrate_module, "expm", expm)
+        p = ModelParams(alpha=0.25, trunc_k=16)
+        traj = integrate(p, gen_front(16, 4, 1.2, 0.5, 10.0), 0.25,
+                         StepControls(scheme=Scheme.DUHAMEL_IMEX))
+        assert traj.termination is Termination.REACHED_T_END
+        assert 0 < len(calls) <= 64
+
+    def test_accepted_steps_on_ladder(self, monkeypatch):
+        log = self._log_attempts(monkeypatch)
+        c = StepControls(scheme=Scheme.DUHAMEL_IMEX)
+        traj = integrate(ModelParams(alpha=0.25, trunc_k=16),
+                         gen_front(16, 4, 1.2, 0.5, 10.0), 0.25, c)
+        records = set(traj.times.tolist())
+        # an attempt is accepted when the next one starts from a later time
+        starts = [t for t, _ in log] + [traj.final_state.t]
+        accepted = [(t, dt, t_next) for (t, dt), t_next in zip(log, starts[1:]) if t_next > t]
+        assert len(accepted) > 1000
+        rungs = {math.ldexp(c.record_every, -j) for j in range(64)}
+        off = [(t, dt) for t, dt, t_next in accepted if t_next not in records and dt not in rungs]
+        assert off == []
+        # rounding drifts t off the ladder; no sliver step is left before a record
+        assert min(dt for _, dt in log) >= c.dt_min
+
+    def test_underflow_never_below_dt_min(self, monkeypatch):
+        # the setup of TestIntegrate.test_step_underflow_termination, on IMEX
+        log = self._log_attempts(monkeypatch)
+        p = ModelParams(alpha=0.45, trunc_k=12)
+        c = StepControls(
+            rel_tol=1e-13, abs_tol=1e-16, dt_init=1e-2, dt_min=8e-3,
+            scheme=Scheme.DUHAMEL_IMEX, record_every=0.1,
+        )
+        traj = integrate(p, gen_front(12, 4, 1.3, 0.5), 1.0, c,
+                         monotone_abort_tol=math.inf)
+        assert traj.termination is Termination.STEP_UNDERFLOW
+        assert log and min(dt for _, dt in log) >= c.dt_min
+
+    def test_snapped_proposal_below_dt_min(self):
+        # near dt_min the snap can halve a proposal that was above it: an
+        # accepted step then keeps the lowest rung at or above dt_min, and a
+        # rejected one underflows instead of attempting below dt_min
+        class Stub:
+            adaptive, ladder, err_exponent = True, True, 0.5
+
+            def __init__(self, err_norm):
+                self.err = err_norm * 1e-8
+
+            def attempt(self, t, y, dt):
+                return y, np.full_like(y, self.err)
+
+        c = StepControls(rel_tol=1e-8, abs_tol=1e-30, dt_init=0.1, dt_min=1e-3,
+                         record_every=0.1)
+        rung = math.ldexp(0.1, -6)  # 1.5625e-3, the lowest rung >= dt_min
+        y_new, _, h_next = integrate_module._attempt(Stub(0.99), 0.0, np.ones(3), rung, c)
+        assert y_new is not None
+        assert h_next == rung
+        # rejected: 0.9 * 1.1**-0.5 * rung = 1.34e-3 >= dt_min, snapped 7.8e-4
+        with pytest.raises(StepUnderflowError):
+            integrate_module._attempt(Stub(1.1), 0.0, np.ones(3), rung, c)

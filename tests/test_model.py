@@ -176,6 +176,21 @@ class TestRhs:
         with pytest.raises(DomainError):
             rhs_full(p, state([0, 1, 1]))
 
+    @pytest.mark.parametrize("kmax", [2, 16, 64])
+    def test_cached_scale_matches_direct_formula(self, rng, kmax):
+        # the 2**k scale is cached per size; results stay bitwise equal to
+        # the formula that rebuilds it on every call
+        from dyadicflow.model import _rhs_inviscid_array
+
+        p = ModelParams(alpha=0.3, trunc_k=kmax)
+        for _ in range(3):
+            a = random_monotone_array(rng, kmax) * 10.0
+            transport = np.diff(a) ** 2 * np.exp2(np.arange(1, a.size, dtype=float))
+            assert np.array_equal(_rhs_inviscid_array(a), np.concatenate([[0.0], -transport]))
+            full = -dissipation(p, state(a))
+            full[1:] -= transport
+            assert np.array_equal(rhs_full(p, state(a)), full)
+
 
 class TestNormsAndSlopes:
     def test_xs_norm_examples(self):
