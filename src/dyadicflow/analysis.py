@@ -124,7 +124,10 @@ def check_monotone_nonneg(state: DyadicState, tolerance: float = 1e-10) -> Invar
 
 def slope_ratio_report(state: DyadicState, rel_floor: float = 1e-14) -> SlopeRatioReport:
     """Max of ``b_k / b_{k-1}`` over k >= 2, skipping negligible denominators."""
-    b = _slopes_array(state.a)
+    return _slope_ratios(_slopes_array(state.a), rel_floor)
+
+
+def _slope_ratios(b: np.ndarray, rel_floor: float = 1e-14) -> SlopeRatioReport:
     mag = np.abs(b)
     kept = mag[1:-1] > rel_floor * mag.max()
     skipped = kept.size - int(np.count_nonzero(kept))
@@ -137,7 +140,10 @@ def slope_ratio_report(state: DyadicState, rel_floor: float = 1e-14) -> SlopeRat
 
 def front_index(state: DyadicState) -> int:
     """Smallest index attaining ``max_k b_k`` (the front position)."""
-    b = _slopes_array(state.a)
+    return _front_index(_slopes_array(state.a))
+
+
+def _front_index(b: np.ndarray) -> int:
     return int(np.argmax(b[1:])) + 1
 
 
@@ -148,7 +154,10 @@ def holder_seminorm(state: DyadicState, beta: float) -> float:
     """
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    b = _slopes_array(state.a)
+    return _holder_seminorm(_slopes_array(state.a), beta)
+
+
+def _holder_seminorm(b: np.ndarray, beta: float) -> float:
     if b.size == 1:
         return 0.0
     karr = np.arange(1, b.size, dtype=float)

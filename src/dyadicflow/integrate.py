@@ -3,7 +3,10 @@
 Three schemes are provided:
 
 * ``EXPLICIT_ADAPTIVE`` -- Dormand-Prince 5(4) embedded pair with error
-  control; the right choice for inviscid runs and mildly stiff cases.
+  control; the right choice for inviscid runs and mildly stiff cases.  Its
+  stages share one buffer per run, and the last stage of an attempt serves
+  as the first of the next one (first same as last), so an attempt costs
+  six right-hand sides, a rejected one too.
 * ``DUHAMEL_IMEX`` -- exponential integrator of ETD2RK type: the linear
   dissipative flow enters through the exact matrix exponential (computed by
   scaling-and-squaring, i.e. a power-of-two substepped rational solve) and
@@ -21,6 +24,7 @@ snaps the proposals of a stepper whose ``ladder`` attribute is set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +40,7 @@ from dyadicflow.model import (
     ModelParams,
     _check_state,
     _rhs_inviscid_array,
+    _slopes_array,
     _xs_norm_array,
     dissipation_matrix,
 )
@@ -150,7 +155,8 @@ class Trajectory:
 # schemes
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution is propagated and the
-# difference to the embedded 4th-order one is the error estimate.
+# difference to the embedded 4th-order one is the error estimate.  Its weight
+# row b is _DP_A[6] followed by 0, so the last stage is taken at the new state.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -161,29 +167,43 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 
 
 class _DormandPrince:
+    """Dormand-Prince 5(4), first same as last, on an autonomous ``rhs``.
+
+    The seventh stage is evaluated at the new state, so it is the first stage
+    of the next attempt.  ``attempt`` reuses it when called from the state it
+    returned last, and reuses the first stage when retried from the state it
+    started from last.  Both are recognised by identity, which is sound
+    because the returned state is read-only and callers do not mutate theirs.
+    """
+
     err_exponent = 1.0 / 5.0
     adaptive = True
     ladder = False
 
-    def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray]):
+    def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray], n: int):
         self.rhs = rhs
+        self._ks = np.empty((7, n))  # one row per stage
+        self._y = self._y_new = None  # start and result of the last attempt
 
     def attempt(self, t, y, dt):
-        k = [self.rhs(t, y)]
+        ks = self._ks
+        if y is self._y_new:
+            ks[0] = ks[6]
+        elif y is not self._y:
+            ks[0] = self.rhs(t, y)
         for i in range(1, 7):
-            yi = y + dt * (_DP_A[i] @ np.stack(k[: len(_DP_A[i])]) if len(_DP_A[i]) else 0.0)
-            k.append(self.rhs(t + _DP_C[i] * dt, yi))
-        ks = np.stack(k)
-        y_new = y + dt * (_DP_B @ ks)
+            yi = y + dt * (_DP_A[i] @ ks[:i])
+            ks[i] = self.rhs(t + _DP_C[i] * dt, yi)
         err = dt * (_DP_E @ ks)
-        return y_new, err
+        yi.flags.writeable = False
+        self._y, self._y_new = y, yi
+        return yi, err
 
 
 class _ImexEtd2:
@@ -283,28 +303,31 @@ def _make_stepper(params, controls, nonlinear):
     scheme = _resolve_scheme(params, controls)
     rhs, m, nl = _build_rhs(params, nonlinear)
     if scheme is Scheme.EXPLICIT_ADAPTIVE:
-        return _DormandPrince(rhs), scheme
+        return _DormandPrince(rhs, params.n_modes), scheme
     if scheme is Scheme.DUHAMEL_IMEX:
         return _ImexEtd2(m, nl), scheme
     return _Rk4Kahan(rhs), scheme
 
 
 def _scaled_error(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    v = float(np.max(np.abs(err) / scale))
+    scale = np.maximum(np.abs(y_old), np.abs(y_new))
+    scale *= rtol
+    scale += atol
+    v = float((np.abs(err) / scale).max())
     return math.inf if math.isnan(v) else v
 
 
 def _diagnostics(state: DyadicState, norm_s: float, delta: float) -> DiagnosticsRecord:
-    ratio = analysis.slope_ratio_report(state)
+    b = _slopes_array(state.a)  # one slope pass serves the three slope functionals
+    ratio = analysis._slope_ratios(b)
     return DiagnosticsRecord(
         xs_norm=_xs_norm_array(state.a, norm_s),
         sup_a=float(np.max(state.a)),
         a0=float(state.a[0]),
         j_value=analysis.j_functional(state, delta, warn=False),
         max_ratio=math.nan if ratio.max_ratio is None else float(ratio.max_ratio),
-        front_index=analysis.front_index(state),
-        holder_half=analysis.holder_seminorm(state, 0.5),
+        front_index=analysis._front_index(b),
+        holder_half=analysis._holder_seminorm(b, 0.5),
     )
 
 
@@ -316,7 +339,7 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     cannot shrink and :class:`StepUnderflowError` below ``dt_min``.
     """
     y_new, err = stepper.attempt(t, y, h)
-    if not np.all(np.isfinite(y_new)):
+    if not np.isfinite(y_new).all():
         err_norm = math.inf
     elif stepper.adaptive:
         err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
@@ -343,6 +366,17 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     return None, None, h_next
 
 
+@functools.lru_cache(maxsize=1)
+def _imex_stepper(params: ModelParams) -> _ImexEtd2:
+    """The IMEX stepper of the last :func:`step` model, kept for its phi-tables.
+
+    Chained steps then build each table once, as :func:`integrate` does.  The
+    stepper holds no other state, so sharing it leaves every step unchanged.
+    """
+    _, m, nl = _build_rhs(params, nonlinear=True)
+    return _ImexEtd2(m, nl)
+
+
 def step(
     params: ModelParams,
     state: DyadicState,
@@ -355,11 +389,15 @@ def step(
     the controller's proposed next step size.  Raises
     :class:`StepUnderflowError` when acceptance would need dt below dt_min
     and :class:`EscapeSignal` when the step produces non-finite values.
+    Chained IMEX steps on one model reuse their exponential tables.
     """
     if not (dt > 0.0):
         raise DomainError("dt must be positive")
     _check_state(params, state)
-    stepper, _ = _make_stepper(params, controls, nonlinear=True)
+    if _resolve_scheme(params, controls) is Scheme.DUHAMEL_IMEX:
+        stepper = _imex_stepper(params)
+    else:
+        stepper, _ = _make_stepper(params, controls, nonlinear=True)
     y = state.a.copy()
     y_new, h_next = None, dt
     with np.errstate(over="ignore", invalid="ignore"):

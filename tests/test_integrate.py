@@ -25,6 +25,7 @@ from dyadicflow.integrate import (
     linear_semigroup,
     step,
 )
+from dyadicflow.analysis import front_index, holder_seminorm, slope_ratio_report
 from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric
 from conftest import random_monotone_state
 
@@ -94,6 +95,27 @@ class TestStep:
         traj = integrate(p, gen_front(8, 3, 1.2, 0.5), t_end, c)
         assert s.t == traj.final_state.t == t_end
         assert np.max(np.abs(s.a - traj.final_state.a)) <= tol
+
+    def test_chained_imex_steps_build_tables_once(self, monkeypatch):
+        # the setup of test_chained_steps_match_integrate: step() keeps the
+        # IMEX stepper of the last model, so each phi-table is built once
+        calls = []
+        original = integrate_module.expm
+
+        def expm(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(integrate_module, "expm", expm)
+        integrate_module._imex_stepper.cache_clear()
+        p = ModelParams(alpha=0.35, trunc_k=8)
+        c = StepControls(scheme=Scheme.DUHAMEL_IMEX, record_every=0.2)
+        s, dt, steps = gen_front(8, 3, 1.2, 0.5), c.dt_init, 0
+        while s.t < 0.2:
+            s, _, dt = step(p, s, c, min(dt, 0.2 - s.t))
+            steps += 1
+        assert steps > 1000
+        assert 0 < len(calls) <= 8
 
     def test_underflow_raises(self):
         # the setup of TestIntegrate.test_step_underflow_termination
@@ -311,6 +333,131 @@ class TestIntegrate:
         for s in traj.samples:
             again = _diagnostics(s.state, p.norm_s, traj.delta)
             assert again == s.diag
+        # one slope pass gives what the public functionals give, bitwise;
+        # the flat state has no slope ratio
+        for state in [s.state for s in traj.samples] + [constant_state(8)]:
+            d = _diagnostics(state, p.norm_s, traj.delta)
+            ratio = slope_ratio_report(state).max_ratio
+            assert d.max_ratio == ratio if ratio is not None else math.isnan(d.max_ratio)
+            assert d.front_index == front_index(state)
+            assert d.holder_half == holder_seminorm(state, 0.5)
+
+
+class _StackDormandPrince(integrate_module._DormandPrince):
+    """Reference: one stack of the stages per product, seven RHS per attempt."""
+
+    B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+
+    def attempt(self, t, y, dt):
+        a, c, e = integrate_module._DP_A, integrate_module._DP_C, integrate_module._DP_E
+        k = [self.rhs(t, y)]
+        for i in range(1, 7):
+            yi = y + dt * (a[i] @ np.stack(k[: len(a[i])]))
+            k.append(self.rhs(t + c[i] * dt, yi))
+        ks = np.stack(k)
+        return y + dt * (self.B @ ks), dt * (e @ ks)
+
+
+# (params, initial state, t_end, controls, integrate keywords)
+DP_CASES = {
+    "inviscid_bump": (
+        ModelParams(alpha=0.0, trunc_k=10), gen_bump(10), 1.0,
+        StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=0.1), {},
+    ),
+    # the alpha 0.35, K 16 cell of the criterion-09 scan: many rejections
+    "front_rejections": (
+        ModelParams(alpha=0.35, trunc_k=16), gen_front(16, 7, 1.3, 0.5, 10.0), 1.5,
+        StepControls(rel_tol=1e-9, abs_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE,
+                     record_every=0.005), {"escape_threshold": 1e4},
+    ),
+    "blowup_k64": (
+        ModelParams(alpha=0.25, trunc_k=64), gen_front(64, 4, 1.2, 0.5, 10.0), 0.2,
+        StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE), {},
+    ),
+    "underflow": (
+        ModelParams(alpha=0.45, trunc_k=12), gen_front(12, 4, 1.3, 0.5), 1.0,
+        StepControls(rel_tol=1e-13, abs_tol=1e-16, dt_init=1e-2, dt_min=8e-3,
+                     scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=0.1),
+        {"monotone_abort_tol": math.inf},
+    ),
+}
+
+
+class TestDormandPrince:
+    """One stage buffer, first-same-as-last reuse, read-only results."""
+
+    @pytest.mark.parametrize("case", list(DP_CASES))
+    def test_matches_stack_reference(self, case, monkeypatch):
+        p, s0, t_end, c, kw = DP_CASES[case]
+        lean = integrate(p, s0, t_end, c, **kw)
+        monkeypatch.setattr(integrate_module, "_DormandPrince", _StackDormandPrince)
+        ref = integrate(p, s0, t_end, c, **kw)
+        assert lean.termination is ref.termination
+        assert lean.escape_time == ref.escape_time
+        assert [s.t for s in lean.samples] == [s.t for s in ref.samples]
+        for s1, s2 in zip(lean.samples, ref.samples):
+            assert np.array_equal(s1.state.a, s2.state.a)
+            assert s1.diag == s2.diag
+
+    def test_six_rhs_per_attempt(self, monkeypatch):
+        rhs_calls, attempts, rejected = [], [], []
+        original_rhs = integrate_module._rhs_inviscid_array
+        original_attempt = integrate_module._DormandPrince.attempt
+
+        def rhs(y):
+            rhs_calls.append(None)
+            return original_rhs(y)
+
+        def attempt(self, t, y, dt):
+            if attempts and attempts[-1] == t:
+                rejected.append(t)
+            attempts.append(t)
+            return original_attempt(self, t, y, dt)
+
+        monkeypatch.setattr(integrate_module, "_rhs_inviscid_array", rhs)
+        monkeypatch.setattr(integrate_module._DormandPrince, "attempt", attempt)
+        p, s0, t_end, c, kw = DP_CASES["front_rejections"]
+        traj = integrate(p, s0, t_end, c, **kw)
+        assert traj.termination is Termination.REACHED_T_END
+        assert len(rejected) > 100
+        assert len(rhs_calls) == 6 * len(attempts) + 1
+
+    def test_reuses_first_and_last_stage(self):
+        p = ModelParams(alpha=0.35, trunc_k=8)
+        rhs, _, _ = integrate_module._build_rhs(p, nonlinear=True)
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        def fresh(y, dt):
+            return integrate_module._DormandPrince(rhs, p.n_modes).attempt(0.0, y.copy(), dt)
+
+        stepper = integrate_module._DormandPrince(counted, p.n_modes)
+        y = gen_front(8, 3, 1.2, 0.5).a.copy()
+        stepper.attempt(0.0, y, 0.1)
+        assert len(calls) == 7
+        # a retry from the same state (a rejection) keeps the first stage
+        y_new, err = stepper.attempt(0.0, y, 0.01)
+        assert len(calls) == 13
+        y_ref, err_ref = fresh(y, 0.01)
+        assert np.array_equal(y_new, y_ref) and np.array_equal(err, err_ref)
+        # the last stage of an attempt is the first of the next one
+        y_next, err = stepper.attempt(0.01, y_new, 0.01)
+        assert len(calls) == 19
+        y_ref, err_ref = fresh(y_new, 0.01)
+        assert np.array_equal(y_next, y_ref) and np.array_equal(err, err_ref)
+
+    def test_result_is_read_only(self):
+        p = ModelParams(alpha=0.0, trunc_k=6)
+        rhs, _, _ = integrate_module._build_rhs(p, nonlinear=True)
+        y_new, _ = integrate_module._DormandPrince(rhs, p.n_modes).attempt(
+            0.0, gen_bump(6).a.copy(), 1e-3
+        )
+        assert not y_new.flags.writeable
+        with pytest.raises(ValueError):
+            y_new[0] = 1.0
 
 
 class TestLinearSemigroup:
