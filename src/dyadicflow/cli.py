@@ -22,13 +22,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from dyadicflow import analysis, output
 from dyadicflow.config import (
@@ -48,8 +45,9 @@ from dyadicflow.integrate import (
     TrajectorySample,
     _diagnostics,
     integrate,
+    linear_semigroup_samples,
 )
-from dyadicflow.model import DyadicState, dissipation_matrix, xs_norm
+from dyadicflow.model import DyadicState, xs_norm
 
 logger = logging.getLogger("dyadicflow")
 
@@ -105,42 +103,13 @@ def inject_fault(traj: Trajectory, kind: str) -> Trajectory:
 def run_scan(
     spec: SweepSpec, escape_threshold: Optional[float] = None
 ) -> list[tuple[float, int, float, Optional[float]]]:
-    """Run every (alpha, K) cell and summarize max norm and escape time.
-
-    Cells are independent pure computations; they are distributed over a
-    worker pool and assembled in deterministic (alpha, K) order.
-    """
-    cells = sorted((a, k) for a in spec.alphas for k in spec.ks)
-
-    def run_cell(cell):
-        alpha, kk = cell
+    """Run every (alpha, K) cell in sorted order; summarize max norm and escape time."""
+    rows = []
+    for alpha, kk in sorted((a, k) for a in spec.alphas for k in spec.ks):
         cfg = cell_config(spec.base, alpha, kk)
         traj = run_simulation(cfg, escape_threshold=escape_threshold)
-        return traj.max_xs_norm(), traj.escape_time
-
-    if spec.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
-            results = dict(zip(cells, pool.map(run_cell, cells)))
-    else:
-        results = {cell: run_cell(cell) for cell in cells}
-    return [(a, k, results[(a, k)][0], results[(a, k)][1]) for a, k in cells]
-
-
-def semigroup_norm_series(cfg: RunConfig) -> list[tuple[float, float]]:
-    """X^s norms of the pure linear flow on the record cadence."""
-    p = cfg.params
-    state0 = build_initial_state(cfg.scenario, p.trunc_k)
-    step_op = expm(-cfg.controls.record_every * dissipation_matrix(p))
-    n_steps = int(math.ceil(cfg.t_end / cfg.controls.record_every - 1e-9))
-    series = []
-    y = state0.a.copy()
-    t = 0.0
-    series.append((t, xs_norm(state0, p.norm_s)))
-    for j in range(1, n_steps + 1):
-        y = step_op @ y
-        t = j * cfg.controls.record_every
-        series.append((t, float(xs_norm(DyadicState(t=t, a=y), p.norm_s))))
-    return series
+        rows.append((alpha, kk, traj.max_xs_norm(), traj.escape_time))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +170,10 @@ def cmd_semigroup(args) -> int:
     if cfg.params.alpha <= 0.0:
         logger.error("semigroup requires alpha > 0")
         return 1
-    series = semigroup_norm_series(cfg)
+    p = cfg.params
+    state0 = build_initial_state(cfg.scenario, p.trunc_k)
+    samples = linear_semigroup_samples(p, state0, cfg.t_end, cfg.controls.record_every)
+    series = [(s.t, xs_norm(s, p.norm_s)) for s in samples]
     prefix = _prefix(cfg, args)
     path = output.write_series_csv(series, ["t", "xs_norm"], prefix + "_semigroup.csv")
     norms = [n for _, n in series]

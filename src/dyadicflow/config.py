@@ -9,9 +9,9 @@ fields of ``RunConfig``, ``[scenario]`` to the scenario class named by
 defaults and rendering are all derived from those fields, so every field has
 its dataclass default, unknown fields or sections (including fields of
 another scenario kind) are rejected by name, and
-``load_config(save_config(cfg)) == cfg`` holds exactly.  The
-``DYADIC_FLOW_THREADS`` environment variable, an integer, sets the default
-sweep parallelism.
+``load_config(save_config(cfg)) == cfg`` holds exactly.  A sweep's alphas
+and ks must each make valid ``ModelParams``, so a bad cell is rejected when
+the file loads.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from dyadicflow import analysis
 from dyadicflow.integrate import Scheme, StepControls
 from dyadicflow.model import DomainError, DyadicState, ModelParams, Tail
 from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric
-
-PARALLELISM_ENV = "DYADIC_FLOW_THREADS"
-
 
 class ConfigError(ValueError):
     """Config file problem, carrying file/field context in the message."""
@@ -86,15 +83,13 @@ class SweepSpec:
     alphas: tuple[float, ...]
     ks: tuple[int, ...]
     base: RunConfig
-    parallelism: int = 1
 
     def __post_init__(self):
         if not self.alphas or not self.ks:
             raise DomainError("sweep lists must be non-empty")
-        if any(a < 0.0 for a in self.alphas):
-            raise DomainError("sweep alphas must be >= 0")
-        if self.parallelism < 1:
-            raise DomainError("parallelism must be >= 1")
+        for alpha in self.alphas:
+            for trunc_k in self.ks:
+                replace(self.base.params, alpha=alpha, trunc_k=trunc_k)  # ModelParams rules
 
 
 def build_initial_state(scenario: Scenario, trunc_k: int) -> DyadicState:
@@ -215,17 +210,6 @@ def _run_config(path, raw: dict) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _default_parallelism() -> int:
-    raw = os.environ.get(PARALLELISM_ENV, "")
-    try:
-        value = int(raw or "1")
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(f"{PARALLELISM_ENV} = {raw!r} is not a positive integer")
-    return value
-
-
 def load_config(path) -> RunConfig:
     """Parse a run configuration, filling defaults for absent fields."""
     return _run_config(path, _read_sections(path, _RUN_SECTIONS))
@@ -235,11 +219,7 @@ def load_sweep(path) -> SweepSpec:
     """Parse a sweep file: a run configuration plus a [sweep] section."""
     raw = _read_sections(path, (*_RUN_SECTIONS, "sweep"))
     base = _run_config(path, raw)
-    values = dict(
-        alphas=(base.params.alpha,),
-        ks=(base.params.trunc_k,),
-        parallelism=_default_parallelism(),
-    )
+    values = dict(alphas=(base.params.alpha,), ks=(base.params.trunc_k,))
     values.update(_parse_section(path, "sweep", raw["sweep"], _FIELDS["sweep"]))
     try:
         return SweepSpec(base=base, **values)

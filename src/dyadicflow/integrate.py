@@ -549,8 +549,31 @@ def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> Dyad
     a0 = _check_state(params, state0)
     if t == 0.0:
         return DyadicState(t=state0.t, a=a0.copy())
-    e = expm(-t * dissipation_matrix(params))
-    return DyadicState(t=state0.t + t, a=e @ a0)
+    return DyadicState(t=state0.t + t, a=_semigroup_matrix(params, t) @ a0)
+
+
+def linear_semigroup_samples(
+    params: ModelParams, state0: DyadicState, t_end: float, record_every: float
+) -> list[DyadicState]:
+    """The pure dissipative flow from ``state0``, sampled every ``record_every``.
+
+    One ``exp(-record_every L)`` is built and applied once per record, up to
+    the first record at or past ``t_end``.
+    """
+    if params.alpha <= 0.0:
+        raise DomainError("the semigroup requires alpha > 0")
+    y = _check_state(params, state0)
+    step_op = _semigroup_matrix(params, record_every)
+    samples = [state0]
+    for j in range(1, math.ceil(t_end / record_every - 1e-9) + 1):
+        y = step_op @ y
+        samples.append(DyadicState(t=state0.t + j * record_every, a=y))
+    return samples
+
+
+def _semigroup_matrix(params: ModelParams, t: float) -> np.ndarray:
+    """``exp(-t L)`` as a dense matrix, built here for both semigroup functions."""
+    return expm(-t * dissipation_matrix(params))
 
 
 def detect_escape(traj: Trajectory, threshold: float, s: float) -> Optional[float]:

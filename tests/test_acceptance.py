@@ -331,7 +331,7 @@ def test_criterion_09_dichotomy_scan():
     t_fit = riccati_fit([(s.t, s.diag.j_value) for s in traj_inv.samples])
     assert t_fit is not None and base.t_end > t_fit
 
-    spec = SweepSpec(alphas=(0.15, 0.35), ks=(12, 16, 20), base=base, parallelism=2)
+    spec = SweepSpec(alphas=(0.15, 0.35), ks=(12, 16, 20), base=base)
     rows = run_scan(spec, escape_threshold=10_000.0)
     by_cell = {(a, k): (m, e) for a, k, m, e in rows}
 

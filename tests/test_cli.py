@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 
 import dyadicflow
-from dyadicflow.cli import main, run_scan, run_simulation, semigroup_norm_series
+from dyadicflow.cli import main, run_scan, run_simulation
 from dyadicflow.config import (
     FrontScenario,
     RunConfig,
     SweepSpec,
+    cell_config,
     load_config,
     save_config,
 )
@@ -122,7 +124,7 @@ class TestCheck:
 
 
 class TestScan:
-    def make_sweep(self, tmp_path, parallelism=1):
+    def make_sweep(self, tmp_path):
         base = RunConfig(
             params=ModelParams(alpha=0.3, trunc_k=8, norm_s=1.5),
             controls=StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=0.05),
@@ -131,8 +133,7 @@ class TestScan:
             checks=(),
             output_prefix=str(tmp_path / "out" / "scan"),
         )
-        spec = SweepSpec(alphas=(0.15, 0.3), ks=(8, 10), base=base,
-                         parallelism=parallelism)
+        spec = SweepSpec(alphas=(0.15, 0.3), ks=(8, 10), base=base)
         path = tmp_path / "sweep.cfg"
         save_config(base, path, sweep=spec)
         return path, spec
@@ -147,22 +148,12 @@ class TestScan:
         assert all(m > 0 for _, _, m, _ in rows)
 
     def test_single_cell_matches_simulate(self, tmp_path):
-        base = RunConfig(
-            params=ModelParams(alpha=0.3, trunc_k=8, norm_s=1.5),
-            controls=StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=0.05),
-            scenario=FrontScenario(k0=3, q=1.2, r=0.5),
-            t_end=0.3,
-        )
-        spec = SweepSpec(alphas=(0.3,), ks=(8,), base=base)
-        rows = run_scan(spec)
-        traj = run_simulation(base)
-        assert rows == [(0.3, 8, traj.max_xs_norm(), traj.escape_time)]
-
-    def test_parallelism_determinism(self, tmp_path):
-        path1, spec1 = self.make_sweep(tmp_path, parallelism=1)
-        seq = run_scan(spec1)
-        par = run_scan(SweepSpec(spec1.alphas, spec1.ks, spec1.base, parallelism=8))
-        assert seq == par
+        _, spec = self.make_sweep(tmp_path)
+        expected = []
+        for alpha, kk in [(0.15, 8), (0.15, 10), (0.3, 8), (0.3, 10)]:
+            traj = run_simulation(cell_config(spec.base, alpha, kk))
+            expected.append((alpha, kk, traj.max_xs_norm(), traj.escape_time))
+        assert run_scan(spec) == expected
 
 
 class TestSemigroup:
@@ -176,6 +167,17 @@ class TestSemigroup:
         series = read_series_csv(cfg.output_prefix + "_semigroup.csv")
         norms = [n for _, n in series]
         assert all(n1 <= n0 + 1e-9 for n0, n1 in zip(norms, norms[1:]))
+
+    def test_one_exponential_per_run(self, tmp_path, monkeypatch):
+        # the package re-exports the function ``integrate`` under the module's name
+        integrate_module = importlib.import_module("dyadicflow.integrate")
+        calls = []
+        expm = integrate_module.expm
+        monkeypatch.setattr(integrate_module, "expm", lambda m: calls.append(m) or expm(m))
+        path, cfg = write_cfg(tmp_path, params=ModelParams(alpha=0.35, trunc_k=8), t_end=1.0)
+        assert main(["semigroup", "--config", str(path), "--quiet"]) == 0
+        assert len(read_series_csv(cfg.output_prefix + "_semigroup.csv")) == 11
+        assert len(calls) == 1
 
     def test_alpha_zero_unsupported_exit_one(self, tmp_path):
         path, _ = write_cfg(tmp_path, params=ModelParams(alpha=0.0, trunc_k=8))

@@ -125,25 +125,32 @@ class TestConfig:
 
     def test_sweep_round_trip(self, tmp_path):
         base = RunConfig()
-        sweep = SweepSpec(alphas=(0.15, 0.35), ks=(12, 16, 20), base=base, parallelism=4)
+        sweep = SweepSpec(alphas=(0.15, 0.35), ks=(12, 16, 20), base=base)
         path = tmp_path / "sweep.cfg"
         save_config(base, path, sweep=sweep)
         assert load_sweep(path) == sweep
 
-    def test_sweep_parallelism_env_default(self, tmp_path, monkeypatch):
+    def test_sweep_parallelism_field_rejected(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text("[sweep]\nalphas = 0.1\nks = 8\nparallelism = 4\n")
+        with pytest.raises(ConfigError, match=r"unknown field 'parallelism' in \[sweep\]"):
+            load_sweep(path)
+
+    def test_sweep_ignores_thread_env(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.cfg"
         path.write_text("[sweep]\nalphas = 0.1\nks = 8\n")
-        monkeypatch.setenv("DYADIC_FLOW_THREADS", "6")
-        spec = load_sweep(path)
-        assert spec.parallelism == 6
-        monkeypatch.setenv("DYADIC_FLOW_THREADS", "")
-        assert load_sweep(path).parallelism == 1
-        monkeypatch.delenv("DYADIC_FLOW_THREADS")
-        assert load_sweep(path).parallelism == 1
-        for bad in ("two", "0"):
-            monkeypatch.setenv("DYADIC_FLOW_THREADS", bad)
-            with pytest.raises(ConfigError, match="DYADIC_FLOW_THREADS"):
-                load_sweep(path)
+        monkeypatch.setenv("DYADIC_FLOW_THREADS", "two")
+        assert load_sweep(path) == SweepSpec(alphas=(0.1,), ks=(8,), base=RunConfig())
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("ks = 1,8", "trunc_k must be >= 2, got 1"), ("alphas = 0.1,-0.2", "alpha must be")],
+    )
+    def test_sweep_bad_cell_rejected_at_load(self, tmp_path, line, message):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(f"[sweep]\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + message):
+            load_sweep(path)
 
     def test_numpy_scalars_round_trip(self, tmp_path):
         cfg = RunConfig(params=ModelParams(alpha=np.float64(0.3), trunc_k=np.int64(12)))
@@ -157,7 +164,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rate"):
             load_config(path)
 
-    def test_readme_examples_load(self, tmp_path, monkeypatch):
+    def test_readme_examples_load(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         run_block, sweep_block = re.findall(r"```ini\n(.*?)```", readme, re.S)
         path = tmp_path / "run.cfg"
@@ -167,7 +174,6 @@ class TestConfig:
         assert isinstance(cfg.scenario, FrontScenario)
         assert cfg.controls.scheme is None
         path.write_text(run_block + "\n" + sweep_block)
-        monkeypatch.delenv("DYADIC_FLOW_THREADS", raising=False)
         spec = load_sweep(path)
         assert spec.base == cfg
         assert spec.ks == (12, 16, 20)

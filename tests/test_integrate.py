@@ -23,6 +23,7 @@ from dyadicflow.integrate import (
     detect_escape,
     integrate,
     linear_semigroup,
+    linear_semigroup_samples,
     step,
 )
 from dyadicflow.analysis import front_index, holder_seminorm, slope_ratio_report
@@ -507,6 +508,38 @@ class TestLinearSemigroup:
             out = linear_semigroup(p, s, 0.5)
             assert float(np.min(np.diff(out.a))) >= -1e-10
             assert out.a[0] >= -1e-12
+
+    def test_samples_match_single_applications(self):
+        p = ModelParams(alpha=0.35, trunc_k=10)
+        s = gen_front(10, 4, 1.2, 0.5)
+        samples = linear_semigroup_samples(p, s, 0.5, 0.1)
+        assert [x.t for x in samples] == [j * 0.1 for j in range(6)]
+        np.testing.assert_array_equal(samples[0].a, s.a)
+        for x in samples[1:]:
+            np.testing.assert_allclose(x.a, linear_semigroup(p, s, x.t).a, rtol=1e-12)
+        with pytest.raises(DomainError):
+            linear_semigroup_samples(ModelParams(alpha=0.0, trunc_k=10), s, 0.5, 0.1)
+
+
+class TestEdgeInputs:
+    """K = 2 and alpha near 0 and 1/2 on bump data, against a tight DP run."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.EXPLICIT_ADAPTIVE, Scheme.DUHAMEL_IMEX])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.499])
+    @pytest.mark.parametrize("trunc_k", [2, 16])
+    def test_default_tolerances_match_reference(self, trunc_k, alpha, scheme):
+        p = ModelParams(alpha=alpha, trunc_k=trunc_k)
+        s0 = gen_bump(trunc_k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ref = integrate(p, s0, 0.05, StepControls(
+                rel_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=0.01))
+            traj = integrate(p, s0, 0.05, StepControls(scheme=scheme, record_every=0.01))
+        assert traj.termination is ref.termination is Termination.REACHED_T_END
+        assert [x.t for x in traj.samples] == [x.t for x in ref.samples]
+        a = np.array([x.state.a for x in traj.samples])
+        a_ref = np.array([x.state.a for x in ref.samples])
+        assert np.max(np.abs(a - a_ref)) <= 1e-8 * np.max(np.abs(a_ref))
 
 
 class TestDetectEscape:
