@@ -7,13 +7,16 @@ Three schemes are provided:
   stages share one buffer per run, and the last stage of an attempt serves
   as the first of the next one (first same as last), so an attempt costs
   six right-hand sides, a rejected one too.
-* ``DUHAMEL_IMEX`` -- exponential integrator of ETD2RK type: the linear
-  dissipative flow enters through the exact matrix exponential (computed by
-  scaling-and-squaring, i.e. a power-of-two substepped rational solve) and
-  the quadratic transport term is treated explicitly, so the step size is
-  set by the nonlinearity rather than the fastest dissipative rate.  Its
+* ``DUHAMEL_IMEX`` -- fourth-order exponential integrator (Cox-Matthews
+  ETDRK4 in phi-form, with an embedded ETD2RK error estimate): the linear
+  dissipative flow enters through the exact matrix exponential and its
+  phi-functions (one scaling-and-squaring ``expm`` of an augmented block)
+  and the quadratic transport term is treated explicitly, so the step size
+  is set by the nonlinearity rather than the fastest dissipative rate.  Its
   step sizes are rounded down to the ladder ``record_every * 2**-j``, so
-  each exponential table is built once per run and size, not per attempt.
+  each exponential table is built once per run and size, not per attempt;
+  the half step of a rung is the next rung.  At alpha = 0 it steps with a
+  zero linear part, where it is classical RK4.
 * ``REFERENCE_FIXED_RK4`` -- classical fixed-step RK4 with compensated
   (Kahan) state accumulation, used as a cross-validation reference.
 
@@ -206,47 +209,75 @@ class _DormandPrince:
         return yi, err
 
 
-class _ImexEtd2:
-    """Second-order exponential integrator for a' = N(a) - M a."""
+def _phi_blocks(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """phi_0..phi_3 of ``a`` from one ``expm`` of a 4n x 4n augmented block.
 
-    err_exponent = 1.0 / 2.0
+    The exponential of ``[[a, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0]`` holds
+    ``exp(a), phi_1(a), phi_2(a), phi_3(a)`` in its top block row (Sidje,
+    Expokit, 1998; Al-Mohy & Higham 2011).
+    """
+    n = a.shape[0]
+    big = np.zeros((4 * n, 4 * n))
+    big[:n, :n] = a
+    for j in range(1, 4):
+        big[(j - 1) * n : j * n, j * n : (j + 1) * n] = np.eye(n)
+    f = expm(big)
+    # copies, so a cached table does not keep the whole 4n x 4n result alive
+    return tuple(f[:n, j * n : (j + 1) * n].copy() for j in range(4))
+
+
+class _Etdrk4:
+    """Cox-Matthews ETDRK4 in phi-form for a' = N(a) - M a (Hochbruck-Ostermann 2005).
+
+    The half-step stages use the tables of ``dt/2``, itself a rung of the
+    ladder, so each table serves both as a step and as a half step.  The
+    error estimate is the gap to the embedded ETD2RK solution
+    ``E y + h phi_1 N(y) + h phi_2 (N(c) - N(y))`` from the same four stages,
+    which is ``2h (phi_2 - 2 phi_3) (N(a) + N(b) - N(y) - N(c))``.  At M = 0
+    the scheme is classical RK4.
+    """
+
+    err_exponent = 1.0 / 3.0
     adaptive = True
     ladder = True  # step sizes record_every * 2**-j, so each table is built once
     _cache_limit = 256
 
-    def __init__(self, m: Optional[np.ndarray], nonlinear: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, m: np.ndarray, nonlinear: Callable[[np.ndarray], np.ndarray]):
         self.m = m
         self.nl = nonlinear
         self._tables_cache: dict[float, tuple] = {}
 
     def _tables(self, dt):
+        """``exp(-dt M)``, ``dt phi_1`` and the three ETDRK4 weights of ``dt``."""
         hit = self._tables_cache.get(dt)
         if hit is not None:
             return hit
-        n = self.m.shape[0]
-        big = np.zeros((3 * n, 3 * n))
-        big[:n, :n] = -dt * self.m
-        big[:n, n : 2 * n] = np.eye(n)
-        big[n : 2 * n, 2 * n :] = np.eye(n)
-        f = expm(big)
-        tables = (f[:n, :n], dt * f[:n, n : 2 * n], dt * f[:n, 2 * n :])
+        e, p1, p2, p3 = _phi_blocks(-dt * self.m)
+        tables = (
+            e,
+            dt * p1,
+            dt * (p1 - 3.0 * p2 + 4.0 * p3),
+            2.0 * dt * (p2 - 2.0 * p3),
+            dt * (4.0 * p3 - p2),
+        )
         if len(self._tables_cache) >= self._cache_limit:
             self._tables_cache.clear()
         self._tables_cache[dt] = tables
         return tables
 
     def attempt(self, t, y, dt):
-        if self.m is None:
-            # no linear part: degenerate to Heun's method
-            n0 = self.nl(y)
-            pred = y + dt * n0
-            corr = 0.5 * dt * (self.nl(pred) - n0)
-            return pred + corr, corr
-        e, p1, p2 = self._tables(dt)
-        n0 = self.nl(y)
-        a1 = e @ y + p1 @ n0
-        corr = p2 @ (self.nl(a1) - n0)
-        return a1 + corr, corr
+        e_half, p_half = self._tables(0.5 * dt)[:2]
+        e, _, w1, w2, w3 = self._tables(dt)
+        nl = self.nl
+        n0 = nl(y)
+        ey_half = e_half @ y
+        a = ey_half + p_half @ n0
+        na = nl(a)
+        nb = nl(ey_half + p_half @ na)
+        nc = nl(e_half @ a + p_half @ (2.0 * nb - n0))
+        nab = na + nb
+        y_new = e @ y + w1 @ n0 + w2 @ nab + w3 @ nc
+        return y_new, w2 @ (nab - n0 - nc)
 
 
 class _Rk4Kahan:
@@ -305,7 +336,10 @@ def _make_stepper(params, controls, nonlinear):
     if scheme is Scheme.EXPLICIT_ADAPTIVE:
         return _DormandPrince(rhs, params.n_modes), scheme
     if scheme is Scheme.DUHAMEL_IMEX:
-        return _ImexEtd2(m, nl), scheme
+        # only this scheme gets a zero linear part at alpha = 0: there it is RK4
+        if m is None:
+            m = np.zeros((params.n_modes, params.n_modes))
+        return _Etdrk4(m, nl), scheme
     return _Rk4Kahan(rhs), scheme
 
 
@@ -367,14 +401,13 @@ def _attempt(stepper, t, y, h, controls: StepControls):
 
 
 @functools.lru_cache(maxsize=1)
-def _imex_stepper(params: ModelParams) -> _ImexEtd2:
+def _imex_stepper(params: ModelParams) -> _Etdrk4:
     """The IMEX stepper of the last :func:`step` model, kept for its phi-tables.
 
     Chained steps then build each table once, as :func:`integrate` does.  The
     stepper holds no other state, so sharing it leaves every step unchanged.
     """
-    _, m, nl = _build_rhs(params, nonlinear=True)
-    return _ImexEtd2(m, nl)
+    return _make_stepper(params, StepControls(scheme=Scheme.DUHAMEL_IMEX), nonlinear=True)[0]
 
 
 def step(
