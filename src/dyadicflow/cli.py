@@ -89,7 +89,7 @@ def inject_fault(traj: Trajectory, kind: str) -> Trajectory:
     samples[i] = TrajectorySample(
         t=target.t,
         state=corrupted,
-        diag=_diagnostics(corrupted, traj.params.norm_s, traj.delta),
+        diag=_diagnostics(corrupted.a[None, :], traj.params.norm_s, traj.delta)[0],
     )
     return Trajectory(
         params=traj.params,

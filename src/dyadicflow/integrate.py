@@ -23,6 +23,12 @@ Three schemes are provided:
 The default for dissipative runs is the IMEX scheme.  :func:`step` and
 :func:`integrate` share one step-size controller, :func:`_attempt`; it
 snaps the proposals of a stepper whose ``ladder`` attribute is set.
+
+At each recorded sample :func:`integrate` runs only the monotone guard and
+the escape test, on one difference vector.  The :class:`DiagnosticsRecord`
+of every sample is built after the run by :func:`_diagnostics`, one stacked
+block of samples per call (``analysis.BLOCK_ROWS`` rows), with results equal
+to a per-sample computation bitwise.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dyadicflow.model import (
     _check_state,
     _rhs_inviscid_array,
     _slopes_array,
-    _xs_norm_array,
+    _xs_norms,
     dissipation_matrix,
 )
 
@@ -351,18 +357,37 @@ def _scaled_error(err, y_old, y_new, rtol, atol):
     return math.inf if math.isnan(v) else v
 
 
-def _diagnostics(state: DyadicState, norm_s: float, delta: float) -> DiagnosticsRecord:
-    b = _slopes_array(state.a)  # one slope pass serves the three slope functionals
-    ratio = analysis._slope_ratios(b)
-    return DiagnosticsRecord(
-        xs_norm=_xs_norm_array(state.a, norm_s),
-        sup_a=float(np.max(state.a)),
-        a0=float(state.a[0]),
-        j_value=analysis.j_functional(state, delta, warn=False),
-        max_ratio=math.nan if ratio.max_ratio is None else float(ratio.max_ratio),
-        front_index=analysis._front_index(b),
-        holder_half=analysis._holder_seminorm(b, 0.5),
-    )
+def _diagnostics(a: np.ndarray, norm_s: float, delta: float) -> list[DiagnosticsRecord]:
+    """The record of each row of a stacked ``(rows, K+1)`` block of states."""
+    b = _slopes_array(a)  # one slope pass serves the three slope functionals
+    ratios, kept = analysis._ratio_table(b)
+    # the entry at the first maximum, as the state-level report takes it: a
+    # max reduction may return 0.0 where that entry is -0.0
+    top = np.take_along_axis(ratios, ratios.argmax(axis=1)[:, None], axis=1)[:, 0]
+    defined = kept.any(axis=1).tolist()
+    max_ratio = [r if ok else math.nan for r, ok in zip(top.tolist(), defined)]
+    return [
+        DiagnosticsRecord(*row)
+        for row in zip(
+            _xs_norms(a, np.diff(a, axis=1), norm_s).tolist(),
+            a.max(axis=1).tolist(),
+            a[:, 0].tolist(),
+            analysis._j_values(a, delta),
+            max_ratio,
+            analysis._front_index(b).tolist(),
+            analysis._holder_seminorm(b, 0.5).tolist(),
+        )
+    ]
+
+
+def _trajectory(params, delta, states, termination, escape_time=None) -> Trajectory:
+    """Attach the diagnostics records to the recorded states, one block at a time."""
+    diags = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, block in analysis._row_blocks([st.a for st in states]):
+            diags += _diagnostics(block, params.norm_s, delta)
+    samples = tuple(TrajectorySample(t=st.t, state=st, diag=d) for st, d in zip(states, diags))
+    return Trajectory(params, delta, samples, termination, escape_time)
 
 
 def _attempt(stepper, t, y, h, controls: StepControls):
@@ -461,14 +486,15 @@ def integrate(
     ``monotone_abort_tol`` aborts the run: the model preserves admissibility,
     so a violation means integrator error, not dynamics.  The default abort
     tolerance scales with the step-error tolerances, marking only gross
-    violations; pass an explicit value for tighter runs.
+    violations; pass an explicit value for tighter runs.  The diagnostics
+    records are built after the run, in blocks of samples.
     """
     a0 = _check_state(params, state0)
     t0 = state0.t
     if t_end < t0:
         raise DomainError("t_end must not precede the initial time")
 
-    n0 = _xs_norm_array(a0, params.norm_s)
+    n0 = float(_xs_norms(a0, np.diff(a0), params.norm_s))
     if escape_threshold is None:
         threshold = 1e6 * n0 if n0 > 0.0 else math.inf
     else:
@@ -486,32 +512,34 @@ def integrate(
     )
 
     stepper, scheme = _make_stepper(params, controls, nonlinear)
-    samples: list[TrajectorySample] = []
+    states: list[DyadicState] = []
     termination: Optional[Termination] = None
     escape_time: Optional[float] = None
 
     def snapshot(t, y) -> bool:
-        """Record a sample; True when the run should stop (escape/guard)."""
+        """Record a state; True when the run should stop (escape/guard).
+
+        Only the guard and the escape test run here; the diagnostics
+        records are built after the run, in blocks.
+        """
         nonlocal termination, escape_time
-        st = DyadicState(t=t, a=y)
-        diag = _diagnostics(st, params.norm_s, delta)
-        samples.append(TrajectorySample(t=t, state=st, diag=diag))
+        states.append(DyadicState(t=t, a=y))
+        d = y[1:] - y[:-1]  # np.diff, without its call overhead
         if guard:
-            d = np.diff(y)
-            worst = min(float(y[0]), float(np.min(d)) if d.size else 0.0)
+            worst = min(float(y[0]), float(d.min()))
             if worst < -monotone_abort_tol:
                 idx = int(np.argmin(np.concatenate([[y[0]], d])))
                 raise IntegrationAbortError(t, idx, worst)
-        if diag.xs_norm > threshold:
+        if _xs_norms(y, d, params.norm_s) > threshold:
             termination = Termination.ESCAPE_DETECTED
             escape_time = t
             return True
         return False
 
-    if snapshot(t0, a0.copy()):
-        return Trajectory(params, delta, tuple(samples), termination, escape_time)
+    if snapshot(t0, a0):
+        return _trajectory(params, delta, states, termination, escape_time)
     if t_end == t0:
-        return Trajectory(params, delta, tuple(samples), Termination.REACHED_T_END)
+        return _trajectory(params, delta, states, Termination.REACHED_T_END)
 
     # record grid: t0 + j * cadence, always ending exactly at t_end
     n_rec = int(math.floor((t_end - t0) / controls.record_every + 1e-9))
@@ -554,26 +582,30 @@ def integrate(
                 t = target if lands else t + h
             if termination is not None:
                 break
-            if snapshot(t, y.copy()):
+            if snapshot(t, y):
                 break
 
     if termination is None:
         termination = Termination.REACHED_T_END
-    elif termination is not Termination.ESCAPE_DETECTED and samples[-1].t < t:
+    elif termination is not Termination.ESCAPE_DETECTED and states[-1].t < t:
         # partial run: keep the last reached point for post-mortem inspection;
         # a state past the threshold reports the escape, whatever stopped the run
         if np.all(np.isfinite(y)):
-            snapshot(t, y.copy())
+            snapshot(t, y)
 
-    return Trajectory(params, delta, tuple(samples), termination, escape_time)
+    return _trajectory(params, delta, states, termination, escape_time)
 
 
 def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> DyadicState:
     """Apply the pure dissipative flow ``exp(-t L)`` to a state.
 
-    Computed through the dense matrix exponential (scaling and squaring);
-    ``-L`` generates a Markov semigroup on the truncated range, which keeps
-    the computation well conditioned even at extreme stiffness.
+    Computed through the dense matrix exponential (scaling and squaring),
+    which is accurate normwise, not entrywise.  The X^s diagnostics weight
+    the top indices by up to ``2**(s*K)``, so its roundoff there shows above
+    K = 32: at alpha = 0.35, front (4, 1.2, 0.5, 1) and t = 1e-3 the X^s
+    norm reads 9.54 for K <= 32 but 513 at K = 40 and 3.7e13 at K = 64
+    (initially 9.64), where monotonicity also breaks by -2.4e-7.  ROADMAP
+    item 3 has the entrywise-accurate remedy.
     """
     if params.alpha <= 0.0:
         raise DomainError("the semigroup requires alpha > 0")
@@ -610,12 +642,15 @@ def _semigroup_matrix(params: ModelParams, t: float) -> np.ndarray:
 
 
 def detect_escape(traj: Trajectory, threshold: float, s: float) -> Optional[float]:
-    """Earliest sample time whose X^s norm exceeds the threshold, if any."""
-    first = traj.samples[0]
-    n0 = _xs_norm_array(first.state.a, s)
-    if not (threshold > n0):
+    """Earliest sample time whose X^s norm exceeds the threshold, if any.
+
+    The norms are computed one block of samples at a time.
+    """
+    a0 = traj.samples[0].state.a
+    if not (threshold > _xs_norms(a0, np.diff(a0), s)):
         raise DomainError("threshold must exceed the initial norm")
-    for sample in traj.samples:
-        if _xs_norm_array(sample.state.a, s) > threshold:
-            return sample.t
+    for lo, a in analysis._state_blocks(traj):
+        above = np.flatnonzero(_xs_norms(a, np.diff(a, axis=1), s) > threshold)
+        if above.size:
+            return traj.samples[lo + int(above[0])].t
     return None

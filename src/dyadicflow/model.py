@@ -338,15 +338,36 @@ def _xs_norm_array(a: np.ndarray, s: float) -> float:
     return float(np.max(np.abs(a)) + np.max(_weighted_diffs(a, s)))
 
 
+@functools.lru_cache(maxsize=64)
+def _xs_weights(size: int, s: float) -> np.ndarray:
+    """Read-only ``2**(s*k)`` for k = 1 .. size - 1; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        w = np.exp2(s * np.arange(1, size, dtype=float))
+    w.flags.writeable = False
+    return w
+
+
+def _xs_norms(a: np.ndarray, d: np.ndarray, s: float):
+    """X^s norms of one state or of each row of a stacked block, given ``d = diff(a)``.
+
+    Equal to :func:`_xs_norm_array` row by row.  ``|d| * 2**(s*k)`` is only
+    formed where ``d != 0``, so 0 * inf counts as 0 where the weights overflow.
+    """
+    wd = np.multiply(
+        np.abs(d), _xs_weights(a.shape[-1], s), out=np.zeros(d.shape), where=d != 0.0
+    )
+    return np.abs(a).max(axis=-1) + wd.max(axis=-1)
+
+
 def slopes(state: DyadicState) -> SlopeVector:
     """Slope variables of a state, ``b_k = (a_k - a_{k-1}) * 2**k``."""
     return SlopeVector(b=_slopes_array(state.a))
 
 
 def _slopes_array(a: np.ndarray) -> np.ndarray:
-    b = np.empty(a.size)
-    b[0] = 0.0
-    b[1:] = np.diff(a) * np.exp2(np.arange(1, a.size, dtype=float))
+    """Slopes of one state, or of each row of a stacked block, along the last axis."""
+    b = np.zeros(a.shape)
+    b[..., 1:] = np.diff(a, axis=-1) * _transport_scale(a.shape[-1])
     return b
 
 

@@ -332,12 +332,12 @@ class TestIntegrate:
         p = ModelParams(alpha=0.3, trunc_k=8, norm_s=1.5)
         traj = integrate(p, gen_front(8, 3, 1.25, 0.5), 0.3, StepControls(record_every=0.05))
         for s in traj.samples:
-            again = _diagnostics(s.state, p.norm_s, traj.delta)
-            assert again == s.diag
+            again = _diagnostics(s.state.a[None, :], p.norm_s, traj.delta)
+            assert again == [s.diag]
         # one slope pass gives what the public functionals give, bitwise;
         # the flat state has no slope ratio
         for state in [s.state for s in traj.samples] + [constant_state(8)]:
-            d = _diagnostics(state, p.norm_s, traj.delta)
+            (d,) = _diagnostics(state.a[None, :], p.norm_s, traj.delta)
             ratio = slope_ratio_report(state).max_ratio
             assert d.max_ratio == ratio if ratio is not None else math.isnan(d.max_ratio)
             assert d.front_index == front_index(state)
