@@ -29,6 +29,7 @@ from dyadicflow.model import (
     DyadicState,
     InvalidInputError,
     _slopes_array,
+    _xs_weights,
     default_goodbad_threshold,
 )
 
@@ -44,6 +45,10 @@ SQRT2 = math.sqrt(2.0)
 #: inviscid checks to 6.9 MB; blocks of 512 rows peak at 1.1 MB and run as
 #: fast.
 BLOCK_ROWS = 512
+
+#: A slope ratio ``b_k / b_{k-1}`` is skipped when its denominator is at or
+#: below this fraction of the largest slope of the same state.
+RATIO_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -132,13 +137,9 @@ def check_monotone_nonneg(state: DyadicState, tolerance: float = 1e-10) -> Invar
     )
 
 
-def slope_ratio_report(state: DyadicState, rel_floor: float = 1e-14) -> SlopeRatioReport:
+def slope_ratio_report(state: DyadicState) -> SlopeRatioReport:
     """Max of ``b_k / b_{k-1}`` over k >= 2, skipping negligible denominators."""
-    return _slope_ratios(_slopes_array(state.a), rel_floor)
-
-
-def _slope_ratios(b: np.ndarray, rel_floor: float = 1e-14) -> SlopeRatioReport:
-    ratios, kept = _ratio_table(b, rel_floor)
+    ratios, kept = _ratio_table(_slopes_array(state.a))
     skipped = kept.size - int(np.count_nonzero(kept))
     if skipped == kept.size:
         return SlopeRatioReport(max_ratio=None, argmax=None, skipped=skipped)
@@ -146,14 +147,14 @@ def _slope_ratios(b: np.ndarray, rel_floor: float = 1e-14) -> SlopeRatioReport:
     return SlopeRatioReport(max_ratio=float(ratios[i]), argmax=i + 2, skipped=skipped)
 
 
-def _ratio_table(b: np.ndarray, rel_floor: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
+def _ratio_table(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ratios ``b_k / b_{k-1}`` for k >= 2 along the last axis, and the kept mask.
 
-    A denominator at or below ``rel_floor`` times the largest slope of its
-    row is skipped; its ratio reads -inf.
+    A denominator at or below :data:`RATIO_FLOOR` times the largest slope of
+    its row is skipped; its ratio reads -inf.
     """
     mag = np.abs(b)
-    kept = mag[..., 1:-1] > rel_floor * mag.max(axis=-1, keepdims=True)
+    kept = mag[..., 1:-1] > RATIO_FLOOR * mag.max(axis=-1, keepdims=True)
     ratios = np.divide(b[..., 2:], b[..., 1:-1], out=np.full(kept.shape, -np.inf), where=kept)
     return ratios, kept
 
@@ -180,11 +181,10 @@ def holder_seminorm(state: DyadicState, beta: float) -> float:
 
 def _holder_seminorm(b: np.ndarray, beta: float):
     """Weighted slope supremum along the last axis (one state or a block)."""
-    karr = np.arange(1, b.shape[-1], dtype=float)
-    return np.max(b[..., 1:] * np.exp2((beta - 1.0) * karr), axis=-1)
+    return np.max(b[..., 1:] * _xs_weights(b.shape[-1], beta - 1.0), axis=-1)
 
 
-def j_functional(state: DyadicState, delta: float, warn: bool = True) -> float:
+def j_functional(state: DyadicState, delta: float) -> float:
     """Blow-up functional ``J = sum_{k>=1} (a_K - a_k) * 2**(k*delta)``.
 
     ``a_K`` stands in for the limit value under the plateau convention.
@@ -193,15 +193,14 @@ def j_functional(state: DyadicState, delta: float, warn: bool = True) -> float:
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     a = state.a
-    if warn and a.size > 1 and float(np.min(np.diff(a))) < -1e-12 * (1.0 + np.max(np.abs(a))):
+    if a.size > 1 and float(np.min(np.diff(a))) < -1e-12 * (1.0 + np.max(np.abs(a))):
         logger.warning("j_functional evaluated on a non-monotone state at t=%g", state.t)
     return _j_values(a[None, :], delta)[0]
 
 
 def _j_values(a: np.ndarray, delta: float) -> list[float]:
     """J of each row of a stacked block, each summed exactly (``math.fsum``)."""
-    karr = np.arange(1, a.shape[1], dtype=float)
-    terms = (a[:, -1:] - a[:, 1:]) * np.exp2(delta * karr)
+    terms = (a[:, -1:] - a[:, 1:]) * _xs_weights(a.shape[1], delta)
     return [math.fsum(row.tolist()) for row in terms]
 
 
@@ -229,8 +228,7 @@ def good_bad(state: DyadicState, delta: float, c: Optional[float] = None) -> Goo
         raise InvalidInputError("good_bad requires a monotone state")
 
     deficit = a[-1] - a[1:]
-    karr = np.arange(1, a.size, dtype=float)
-    weight = np.exp2((delta + 1.0) * karr)
+    weight = _xs_weights(a.size, delta + 1.0)
     good_mask = d >= c * deficit
     good = tuple(int(k) for k in np.nonzero(good_mask)[0] + 1)
     bad = tuple(int(k) for k in np.nonzero(~good_mask)[0] + 1)
@@ -242,31 +240,31 @@ def good_bad(state: DyadicState, delta: float, c: Optional[float] = None) -> Goo
     )
 
 
-def riccati_fit(
-    j_series,
-    window_frac: float = 0.35,
-    min_points: int = 3,
-) -> Optional[float]:
-    """Extrapolate a blow-up time from a J(t) series by fitting 1/J against t.
-
-    Uses the trailing part of the strictly increasing run ending at the
-    series maximum.  Returns the root of the fitted line (where 1/J hits 0)
-    when the slope is negative beyond the fit noise and lies ahead of the
-    data, else None.
-    """
-    pts = [(float(t), float(j)) for t, j in j_series if j > 0.0]
-    if len(pts) < min_points:
-        return None
-    js = [j for _, j in pts]
+def _growth_run(js) -> tuple[int, int]:
+    """``(start, stop)`` of the strictly increasing run ending at the first maximum."""
     stop = int(np.argmax(js))
     start = stop
     while start > 0 and js[start - 1] < js[start]:
         start -= 1
-    run = pts[start : stop + 1]
-    if len(run) < min_points:
+    return start, stop
+
+
+def riccati_fit(j_series) -> Optional[float]:
+    """Extrapolate a blow-up time from a J(t) series by fitting 1/J against t.
+
+    Uses the trailing 35% (at least 3 points) of the strictly increasing run
+    ending at the series maximum.  Returns the root of the fitted line (where
+    1/J hits 0) when the slope is negative beyond the fit noise and lies
+    ahead of the data, else None.
+    """
+    pts = [(float(t), float(j)) for t, j in j_series if j > 0.0]
+    if len(pts) < 3:
         return None
-    w = max(min_points, int(math.ceil(window_frac * len(run))))
-    window = run[-w:]
+    start, stop = _growth_run([j for _, j in pts])
+    run = pts[start : stop + 1]
+    if len(run) < 3:
+        return None
+    window = run[-max(3, int(math.ceil(0.35 * len(run)))) :]
 
     t = np.array([p[0] for p in window])
     y = 1.0 / np.array([p[1] for p in window])
@@ -504,10 +502,7 @@ def fit_riccati_constants(traj, delta: Optional[float] = None) -> tuple[float, f
     fd = (j[2:] - j[:-2]) / (t[2:] - t[:-2])
     x = (j**2)[1:-1]
 
-    stop = int(np.argmax(j))
-    start = stop
-    while start > 0 and j[start - 1] < j[start]:
-        start -= 1
+    start, stop = _growth_run(j)
     # interior indices (offset by one against fd/x) inside the growth run,
     # cut where dJ/dt peaks: beyond that the truncation cap throttles the
     # cascade and the infinite-system inequality no longer informs the fit
@@ -523,16 +518,14 @@ def fit_riccati_constants(traj, delta: Optional[float] = None) -> tuple[float, f
     return c1, c2
 
 
-def riccati_inequality_check(
-    traj, delta: Optional[float] = None, tol_per_cadence: float = 1.0
-) -> InvariantReport:
+def riccati_inequality_check(traj, delta: Optional[float] = None) -> InvariantReport:
     """Differential identity / inequality for the blow-up functional J.
 
     Inviscid runs: verifies the exact identity
     ``dJ/dt = sum_k b_k**2 2**(k(delta-1))`` sample by sample with a
-    centered finite difference; the tolerance scales linearly with the
-    sampling cadence.  Dissipative runs: fits (C1, C2) and asserts C1 > 0,
-    reporting the fitted constants via the log.
+    centered finite difference; the tolerance is the sampling cadence (the
+    median sample spacing).  Dissipative runs: fits (C1, C2) and asserts
+    C1 > 0, reporting the fitted constants via the log.
     """
     delta, ts, js = _j_series(traj, delta)
     if traj.params.alpha > 0.0:
@@ -546,8 +539,7 @@ def riccati_inequality_check(
     t = np.asarray(ts)
     j = np.asarray(js)
     cadence = float(np.median(np.diff(t)))
-    karr = np.arange(1, traj.samples[0].state.a.size, dtype=float)
-    weight = np.exp2((delta - 1.0) * karr)
+    weight = _xs_weights(traj.samples[0].state.a.size, delta - 1.0)
     rhs = np.empty(len(t))
     for lo, a in _state_blocks(traj):
         terms = _slopes_array(a)[:, 1:] ** 2 * weight
@@ -557,7 +549,7 @@ def riccati_inequality_check(
     resid = np.abs(fd - rhs) / (1.0 + np.abs(rhs))
     i = int(np.argmax(resid))  # the first maximum wins ties
     return InvariantReport.from_margin(
-        "riccati_identity", -resid[i], (float(t[i + 1]), None), tol_per_cadence * cadence
+        "riccati_identity", -resid[i], (float(t[i + 1]), None), cadence
     )
 
 

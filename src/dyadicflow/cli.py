@@ -9,8 +9,9 @@ Four subcommands, one per experiment family:
   corrupts the trajectory first (test harness for the checks themselves).
 * ``scan``     -- (alpha, K) sweep; writes a summary table
   ``alpha,K,max_norm,escape_time``.  Exit 0 on success.
-* ``semigroup``-- pure linear flow; writes the X^s norm series and exits 0
-  iff it is non-increasing (alpha = 0 is unsupported: exit 1).
+* ``semigroup``-- pure linear flow on the record grid of ``simulate``, up to
+  t_end; writes the X^s norm series and exits 0 iff it is non-increasing
+  (alpha = 0 is unsupported: exit 1).
 
 stdout carries a one-line summary (suppressed by ``--quiet``), stderr the
 diagnostics.  Outputs contain no timestamps; identical inputs reproduce
@@ -91,13 +92,7 @@ def inject_fault(traj: Trajectory, kind: str) -> Trajectory:
         state=corrupted,
         diag=_diagnostics(corrupted.a[None, :], traj.params.norm_s, traj.delta)[0],
     )
-    return Trajectory(
-        params=traj.params,
-        delta=traj.delta,
-        samples=tuple(samples),
-        termination=traj.termination,
-        escape_time=traj.escape_time,
-    )
+    return dataclasses.replace(traj, samples=tuple(samples))
 
 
 def run_scan(

@@ -311,23 +311,13 @@ class _Rk4Kahan:
         return y_new, None
 
 
-def _build_rhs(params: ModelParams, nonlinear: bool):
-    """Return (rhs(t, y), M, N(y)) for the configured system."""
-    if params.alpha > 0.0:
-        m = dissipation_matrix(params)
-    else:
-        m = None
-
-    if nonlinear:
-        nl = _rhs_inviscid_array
-    else:
-        nl = lambda y: np.zeros_like(y)  # noqa: E731
-
-    if m is None:
-        rhs = lambda t, y: nl(y)  # noqa: E731
-    else:
-        rhs = lambda t, y: nl(y) - m @ y  # noqa: E731
-    return rhs, m, nl
+def _build_rhs(params: ModelParams):
+    """Return (rhs(t, y), M) for the configured system; M is None at alpha = 0."""
+    nl = _rhs_inviscid_array
+    if params.alpha <= 0.0:
+        return (lambda t, y: nl(y)), None
+    m = dissipation_matrix(params)
+    return (lambda t, y: nl(y) - m @ y), m
 
 
 def _resolve_scheme(params: ModelParams, controls: StepControls) -> Scheme:
@@ -336,16 +326,16 @@ def _resolve_scheme(params: ModelParams, controls: StepControls) -> Scheme:
     return Scheme.DUHAMEL_IMEX if params.alpha > 0.0 else Scheme.EXPLICIT_ADAPTIVE
 
 
-def _make_stepper(params, controls, nonlinear):
+def _make_stepper(params, controls):
     scheme = _resolve_scheme(params, controls)
-    rhs, m, nl = _build_rhs(params, nonlinear)
+    rhs, m = _build_rhs(params)
     if scheme is Scheme.EXPLICIT_ADAPTIVE:
         return _DormandPrince(rhs, params.n_modes), scheme
     if scheme is Scheme.DUHAMEL_IMEX:
         # only this scheme gets a zero linear part at alpha = 0: there it is RK4
         if m is None:
             m = np.zeros((params.n_modes, params.n_modes))
-        return _Etdrk4(m, nl), scheme
+        return _Etdrk4(m, _rhs_inviscid_array), scheme
     return _Rk4Kahan(rhs), scheme
 
 
@@ -390,6 +380,22 @@ def _trajectory(params, delta, states, termination, escape_time=None) -> Traject
     return Trajectory(params, delta, samples, termination, escape_time)
 
 
+def _record_times(t0: float, t_end: float, every: float) -> tuple[list[float], bool]:
+    """The record grid ``t0 + j * every`` after ``t0``, ending exactly at ``t_end``.
+
+    Also returns whether the last gap is short: when ``t_end`` is not on the
+    cadence it is appended as its own record.  Needs ``t_end > t0``.
+    """
+    n = int(math.floor((t_end - t0) / every + 1e-9))
+    rec = [t0 + j * every for j in range(1, n + 1)]
+    short = not rec or rec[-1] < t_end - 1e-12 * max(1.0, abs(t_end))
+    if short:
+        rec.append(t_end)
+    else:
+        rec[-1] = t_end
+    return rec, short
+
+
 def _attempt(stepper, t, y, h, controls: StepControls):
     """Run one attempt of size ``h`` from ``(t, y)`` and decide it.
 
@@ -432,7 +438,7 @@ def _imex_stepper(params: ModelParams) -> _Etdrk4:
     Chained steps then build each table once, as :func:`integrate` does.  The
     stepper holds no other state, so sharing it leaves every step unchanged.
     """
-    return _make_stepper(params, StepControls(scheme=Scheme.DUHAMEL_IMEX), nonlinear=True)[0]
+    return _make_stepper(params, StepControls(scheme=Scheme.DUHAMEL_IMEX))[0]
 
 
 def step(
@@ -455,7 +461,7 @@ def step(
     if _resolve_scheme(params, controls) is Scheme.DUHAMEL_IMEX:
         stepper = _imex_stepper(params)
     else:
-        stepper, _ = _make_stepper(params, controls, nonlinear=True)
+        stepper, _ = _make_stepper(params, controls)
     y = state.a.copy()
     y_new, h_next = None, dt
     with np.errstate(over="ignore", invalid="ignore"):
@@ -473,7 +479,6 @@ def integrate(
     controls: StepControls,
     delta: float = 0.5,
     escape_threshold: Optional[float] = None,
-    nonlinear: bool = True,
     monotone_abort_tol: Optional[float] = None,
 ) -> Trajectory:
     """Integrate to ``t_end``, sampling on the ``record_every`` cadence.
@@ -511,7 +516,7 @@ def integrate(
         a0.size < 2 or float(np.min(np.diff(a0))) >= -1e-12
     )
 
-    stepper, scheme = _make_stepper(params, controls, nonlinear)
+    stepper, scheme = _make_stepper(params, controls)
     states: list[DyadicState] = []
     termination: Optional[Termination] = None
     escape_time: Optional[float] = None
@@ -541,14 +546,7 @@ def integrate(
     if t_end == t0:
         return _trajectory(params, delta, states, Termination.REACHED_T_END)
 
-    # record grid: t0 + j * cadence, always ending exactly at t_end
-    n_rec = int(math.floor((t_end - t0) / controls.record_every + 1e-9))
-    rec = [t0 + j * controls.record_every for j in range(1, n_rec + 1)]
-    if not rec or rec[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
-        rec.append(t_end)
-    else:
-        rec[-1] = t_end
-
+    rec, _ = _record_times(t0, t_end, controls.record_every)
     y = a0.copy()
     t = t0
     dt = min(controls.dt_init, controls.record_every)
@@ -620,19 +618,28 @@ def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> Dyad
 def linear_semigroup_samples(
     params: ModelParams, state0: DyadicState, t_end: float, record_every: float
 ) -> list[DyadicState]:
-    """The pure dissipative flow from ``state0``, sampled every ``record_every``.
+    """The pure dissipative flow from ``state0`` for a time ``t_end``, on the record grid.
 
-    One ``exp(-record_every L)`` is built and applied once per record, up to
-    the first record at or past ``t_end``.
+    The grid is that of :func:`integrate`, so the last sample lies at
+    ``state0.t + t_end``.  One ``exp(-record_every L)`` is built and applied
+    once per record; a last gap shorter than ``record_every`` gets its own
+    ``exp(-gap L)``.
     """
     if params.alpha <= 0.0:
         raise DomainError("the semigroup requires alpha > 0")
+    if not (t_end > 0.0):
+        raise DomainError("t_end must be positive")
     y = _check_state(params, state0)
-    step_op = _semigroup_matrix(params, record_every)
+    rec, short = _record_times(state0.t, state0.t + t_end, record_every)
+    full = rec[:-1] if short else rec
+    step_op = _semigroup_matrix(params, record_every) if full else None
     samples = [state0]
-    for j in range(1, math.ceil(t_end / record_every - 1e-9) + 1):
+    for t in full:
         y = step_op @ y
-        samples.append(DyadicState(t=state0.t + j * record_every, a=y))
+        samples.append(DyadicState(t=t, a=y))
+    if short:
+        y = _semigroup_matrix(params, rec[-1] - samples[-1].t) @ y
+        samples.append(DyadicState(t=rec[-1], a=y))
     return samples
 
 

@@ -105,34 +105,6 @@ class DyadicState:
         return self.a.size - 1
 
 
-@dataclass(frozen=True, eq=False)
-class SlopeVector:
-    """Slope variables ``b_k = (a_k - a_{k-1}) * 2**k`` with ``b_0 = 0``."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.b, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "b", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedSlopeVector:
-    """Weighted slopes ``b_{k,s} = (a_k - a_{k-1}) * 2**(s*k)``.
-
-    Cross-consistency with :class:`SlopeVector`: ``bs_k = b_k * 2**((s-1)*k)``.
-    """
-
-    bs: np.ndarray
-    s: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.bs, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "bs", arr)
-
-
 def cs_constant(s: float) -> float:
     """Threshold constant ``c_s = (3/4)(2**s-1)^{-1}(1 - 1/(2**(s+1)-1))``.
 
@@ -284,18 +256,10 @@ def rhs_inviscid(state: DyadicState) -> np.ndarray:
     return _rhs_inviscid_array(state.a)
 
 
-@functools.lru_cache(maxsize=64)
-def _transport_scale(size: int) -> np.ndarray:
-    """Read-only ``2**k`` for k = 1 .. size - 1, shared by every caller."""
-    w = np.exp2(np.arange(1, size, dtype=float))
-    w.flags.writeable = False
-    return w
-
-
 def _rhs_inviscid_array(a: np.ndarray) -> np.ndarray:
     out = np.empty(a.size)
     out[0] = 0.0
-    out[1:] = -(a[1:] - a[:-1]) ** 2 * _transport_scale(a.size)
+    out[1:] = -(a[1:] - a[:-1]) ** 2 * _xs_weights(a.size, 1.0)
     return out
 
 
@@ -308,50 +272,35 @@ def rhs_full(params: ModelParams, state: DyadicState) -> np.ndarray:
     if params.alpha <= 0.0:
         raise DomainError("rhs_full requires alpha > 0; use rhs_inviscid at alpha = 0")
     a = _check_state(params, state)
-    out = -_dissipation_array(a, params.alpha, params.tail)
-    out[1:] -= (a[1:] - a[:-1]) ** 2 * _transport_scale(a.size)
-    return out
-
-
-def _signed_weighted_diffs(a: np.ndarray, s: float) -> np.ndarray:
-    """``(a_k - a_{k-1}) * 2**(s*k)`` for k >= 1, with 0 * inf -> 0."""
-    d = np.diff(a)
-    w = np.exp2(s * np.arange(1, a.size, dtype=float))
-    with np.errstate(invalid="ignore"):
-        prod = d * w
-    return np.where(d == 0.0, 0.0, prod)
-
-
-def _weighted_diffs(a: np.ndarray, s: float) -> np.ndarray:
-    """``|a_k - a_{k-1}| * 2**(s*k)`` for k >= 1 (the weight is positive)."""
-    return np.abs(_signed_weighted_diffs(a, s))
-
-
-def xs_norm(state: DyadicState, s: float) -> float:
-    """Norm ``sup_k |a_k| + sup_{k>=1} |a_k - a_{k-1}| * 2**(s*k)``."""
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s}")
-    return _xs_norm_array(state.a, s)
-
-
-def _xs_norm_array(a: np.ndarray, s: float) -> float:
-    return float(np.max(np.abs(a)) + np.max(_weighted_diffs(a, s)))
+    return _rhs_inviscid_array(a) - _dissipation_array(a, params.alpha, params.tail)
 
 
 @functools.lru_cache(maxsize=64)
 def _xs_weights(size: int, s: float) -> np.ndarray:
-    """Read-only ``2**(s*k)`` for k = 1 .. size - 1; inf where it overflows."""
+    """Read-only ``2**(s*k)`` for k = 1 .. size - 1; inf where it overflows.
+
+    The one weight table of the model: the transport scale (``s = 1``), the
+    X^s norm and every ``2**(c*k)`` weight of the analysis layer.
+    """
     with np.errstate(over="ignore"):
         w = np.exp2(s * np.arange(1, size, dtype=float))
     w.flags.writeable = False
     return w
 
 
+def xs_norm(state: DyadicState, s: float) -> float:
+    """Norm ``sup_k |a_k| + sup_{k>=1} |a_k - a_{k-1}| * 2**(s*k)``."""
+    if not (s > 0.0):
+        raise DomainError(f"s must be > 0, got {s}")
+    with np.errstate(over="ignore"):
+        return float(_xs_norms(state.a, np.diff(state.a), s))
+
+
 def _xs_norms(a: np.ndarray, d: np.ndarray, s: float):
     """X^s norms of one state or of each row of a stacked block, given ``d = diff(a)``.
 
-    Equal to :func:`_xs_norm_array` row by row.  ``|d| * 2**(s*k)`` is only
-    formed where ``d != 0``, so 0 * inf counts as 0 where the weights overflow.
+    ``|d| * 2**(s*k)`` is only formed where ``d != 0``, so 0 * inf counts as
+    0 where the weights overflow.
     """
     wd = np.multiply(
         np.abs(d), _xs_weights(a.shape[-1], s), out=np.zeros(d.shape), where=d != 0.0
@@ -359,24 +308,31 @@ def _xs_norms(a: np.ndarray, d: np.ndarray, s: float):
     return np.abs(a).max(axis=-1) + wd.max(axis=-1)
 
 
-def slopes(state: DyadicState) -> SlopeVector:
-    """Slope variables of a state, ``b_k = (a_k - a_{k-1}) * 2**k``."""
-    return SlopeVector(b=_slopes_array(state.a))
+def slopes(state: DyadicState) -> np.ndarray:
+    """Slope variables ``b_k = (a_k - a_{k-1}) * 2**k`` with ``b_0 = 0``."""
+    return _slopes_array(state.a)
 
 
 def _slopes_array(a: np.ndarray) -> np.ndarray:
     """Slopes of one state, or of each row of a stacked block, along the last axis."""
     b = np.zeros(a.shape)
-    b[..., 1:] = np.diff(a, axis=-1) * _transport_scale(a.shape[-1])
+    b[..., 1:] = np.diff(a, axis=-1) * _xs_weights(a.shape[-1], 1.0)
     return b
 
 
-def weighted_slopes(state: DyadicState, s: float) -> WeightedSlopeVector:
-    """Weighted slope variables ``b_{k,s} = (a_k - a_{k-1}) * 2**(s*k)``."""
+def weighted_slopes(state: DyadicState, s: float) -> np.ndarray:
+    """Weighted slopes ``b_{k,s} = (a_k - a_{k-1}) * 2**(s*k)`` with ``b_{0,s} = 0``.
+
+    ``b_{k,s} = b_k * 2**((s-1)*k)``; an entry with ``a_k = a_{k-1}`` is 0
+    also where the weight overflows.
+    """
     if not (s > 0.0):
         raise DomainError(f"s must be > 0, got {s}")
-    bs = np.concatenate(([0.0], _signed_weighted_diffs(state.a, s)))
-    return WeightedSlopeVector(bs=bs, s=s)
+    d = np.diff(state.a)
+    bs = np.zeros(state.a.size)
+    with np.errstate(over="ignore"):
+        np.multiply(d, _xs_weights(state.a.size, s), out=bs[1:], where=d != 0.0)
+    return bs
 
 
 def dissipation_limit(params: ModelParams, state: DyadicState) -> float:

@@ -79,8 +79,8 @@ def read_trajectory_csv(path) -> list[dict]:
 
 def write_state_csv(state: DyadicState, s: float, path) -> Path:
     """Dump ``k, a_k, b_k, b_{k,s}`` for every stored index."""
-    b = slopes(state).b
-    bs = weighted_slopes(state, s).bs
+    b = slopes(state)
+    bs = weighted_slopes(state, s)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(STATE_HEADER)

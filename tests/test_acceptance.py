@@ -108,7 +108,7 @@ def _engineered_dominant_state(rng, kmax, k_dom, s):
     for _ in range(80):
         a = np.concatenate([[0.0], np.cumsum(inc)])
         st = DyadicState(t=0.0, a=a)
-        if weighted_slopes(st, s).bs[k_dom] > cs * xs_norm(st, s) * 1.000001:
+        if weighted_slopes(st, s)[k_dom] > cs * xs_norm(st, s) * 1.000001:
             return st
         inc[k_dom - 1] *= 1.7
     raise AssertionError("failed to engineer slope dominance")
@@ -129,7 +129,7 @@ def test_criterion_03_coercivity():
             lhs = (op[k] - op[k - 1]) * 2.0 ** (s * k)
             ta = 2.0 * alpha
             rhs = coercivity_constant(alpha) * (2.0 ** (ta * k) - 2.0**ta)
-            rhs *= weighted_slopes(st, s).bs[k]
+            rhs *= weighted_slopes(st, s)[k]
             worst = min(worst, lhs - rhs)
             cases += 1
     report(

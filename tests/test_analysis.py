@@ -383,11 +383,11 @@ class TestEq17Consistency:
         worst = 0.0
         for i in range(1, len(samples) - 1):
             sm, s0, sp = samples[i - 1], samples[i], samples[i + 1]
-            fd = (weighted_slopes(sp.state, s_idx).bs - weighted_slopes(sm.state, s_idx).bs) / (
+            fd = (weighted_slopes(sp.state, s_idx) - weighted_slopes(sm.state, s_idx)) / (
                 sp.t - sm.t
             )
-            b = slopes(s0.state).b
-            bs = weighted_slopes(s0.state, s_idx).bs
+            b = slopes(s0.state)
+            bs = weighted_slopes(s0.state, s_idx)
             op = dissipation(p, s0.state)
             karr = np.arange(1, 11, dtype=float)
             rhs = (
@@ -397,7 +397,7 @@ class TestEq17Consistency:
             )
             worst = max(worst, float(np.max(np.abs(fd[1:] - rhs))))
         scale = max(
-            float(np.max(np.abs(weighted_slopes(s.state, s_idx).bs))) for s in samples
+            float(np.max(np.abs(weighted_slopes(s.state, s_idx)))) for s in samples
         )
         return worst, scale
 

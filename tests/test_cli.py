@@ -179,6 +179,23 @@ class TestSemigroup:
         assert len(read_series_csv(cfg.output_prefix + "_semigroup.csv")) == 11
         assert len(calls) == 1
 
+    def test_off_cadence_t_end_is_last_row(self, tmp_path):
+        # 1.0 is not a multiple of 0.3: the grid is 0, 0.3, 0.6, 0.9, then t_end
+        from dyadicflow.config import build_initial_state
+        from dyadicflow.integrate import linear_semigroup
+        from dyadicflow.model import xs_norm
+
+        path, cfg = write_cfg(
+            tmp_path,
+            controls=StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=0.3),
+            t_end=1.0,
+        )
+        assert main(["semigroup", "--config", str(path), "--quiet"]) == 0
+        series = read_series_csv(cfg.output_prefix + "_semigroup.csv")
+        assert [t for t, _ in series][-2:] == [3 * 0.3, 1.0]
+        ref = linear_semigroup(cfg.params, build_initial_state(cfg.scenario, 8), 1.0)
+        assert abs(series[-1][1] - xs_norm(ref, 1.5)) <= 1e-12
+
     def test_alpha_zero_unsupported_exit_one(self, tmp_path):
         path, _ = write_cfg(tmp_path, params=ModelParams(alpha=0.0, trunc_k=8))
         assert main(["semigroup", "--config", str(path), "--quiet"]) == 1

@@ -178,6 +178,12 @@ class TestConfig:
         assert spec.base == cfg
         assert spec.ks == (12, 16, 20)
 
+    def test_readme_library_sketch_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (sketch,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        exec(compile(sketch, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("Termination.")
+
     def test_build_initial_state_dispatch(self):
         s = build_initial_state(FrontScenario(k0=3, q=1.3, r=0.5), 6)
         np.testing.assert_allclose(s.a, gen_front(6, 3, 1.3, 0.5).a)
@@ -224,10 +230,20 @@ class TestOutputs:
         from dyadicflow.model import slopes, weighted_slopes
 
         np.testing.assert_array_equal([r["a_k"] for r in rows], final.a)
-        np.testing.assert_array_equal([r["b_k"] for r in rows], slopes(final).b)
+        np.testing.assert_array_equal([r["b_k"] for r in rows], slopes(final))
         np.testing.assert_array_equal(
-            [r["b_ks"] for r in rows], weighted_slopes(final, 1.5).bs
+            [r["b_ks"] for r in rows], weighted_slopes(final, 1.5)
         )
+
+    def test_state_dump_at_overflowing_weights(self, tmp_path):
+        # 2**(1.5 k) overflows from k = 683; no RuntimeWarning may leak
+        from dyadicflow.model import DyadicState
+        from dyadicflow.output import write_state_csv
+
+        st_ = DyadicState(t=0.0, a=np.linspace(0.0, 1.0, 701))
+        rows = read_state_csv(write_state_csv(st_, 1.5, tmp_path / "s.csv"))
+        assert len(rows) == 701
+        assert rows[682]["b_ks"] < math.inf and rows[683]["b_ks"] == math.inf
 
     def test_reports_round_trip(self, tmp_path):
         reps = [

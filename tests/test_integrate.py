@@ -211,16 +211,15 @@ class TestIntegrate:
         assert np.max(np.abs(imex.final_state.a - reference.final_state.a)) < 1e-7
 
     def test_pure_linear_run_matches_semigroup(self):
+        # with no transport term the exponential stepper is the semigroup itself
         p = ModelParams(alpha=0.35, trunc_k=10, norm_s=1.5)
         s0 = gen_geometric(10, 0.6)
-        traj = integrate(
-            p, s0, 1.0,
-            StepControls(scheme=Scheme.DUHAMEL_IMEX, record_every=0.25),
-            nonlinear=False,
-        )
-        for sample in traj.samples[1:]:
-            ref = linear_semigroup(p, s0, sample.t)
-            assert np.max(np.abs(sample.state.a - ref.a)) < 1e-8
+        stepper = integrate_module._Etdrk4(dissipation_matrix(p), np.zeros_like)
+        y = s0.a.copy()
+        for i in range(1, 5):
+            y, _ = stepper.attempt((i - 1) * 0.25, y, 0.25)
+            ref = linear_semigroup(p, s0, i * 0.25)
+            assert np.max(np.abs(y - ref.a)) < 1e-8
 
     def test_max_steps_flagging(self):
         p = ModelParams(alpha=0.0, trunc_k=6)
@@ -425,7 +424,7 @@ class TestDormandPrince:
 
     def test_reuses_first_and_last_stage(self):
         p = ModelParams(alpha=0.35, trunc_k=8)
-        rhs, _, _ = integrate_module._build_rhs(p, nonlinear=True)
+        rhs, _ = integrate_module._build_rhs(p)
         calls = []
 
         def counted(t, y):
@@ -452,7 +451,7 @@ class TestDormandPrince:
 
     def test_result_is_read_only(self):
         p = ModelParams(alpha=0.0, trunc_k=6)
-        rhs, _, _ = integrate_module._build_rhs(p, nonlinear=True)
+        rhs, _ = integrate_module._build_rhs(p)
         y_new, _ = integrate_module._DormandPrince(rhs, p.n_modes).attempt(
             0.0, gen_bump(6).a.copy(), 1e-3
         )
@@ -519,6 +518,17 @@ class TestLinearSemigroup:
             np.testing.assert_allclose(x.a, linear_semigroup(p, s, x.t).a, rtol=1e-12)
         with pytest.raises(DomainError):
             linear_semigroup_samples(ModelParams(alpha=0.0, trunc_k=10), s, 0.5, 0.1)
+
+    @pytest.mark.parametrize(
+        "t_end, times", [(1.0, [0.0, 0.3, 0.6, 3 * 0.3, 1.0]), (0.2, [0.0, 0.2])]
+    )
+    def test_samples_end_at_off_cadence_t_end(self, t_end, times):
+        p = ModelParams(alpha=0.3, trunc_k=8)
+        s = gen_front(8, 3, 1.2, 0.5)
+        samples = linear_semigroup_samples(p, s, t_end, 0.3)
+        assert [x.t for x in samples] == times
+        for x in samples[1:]:
+            np.testing.assert_allclose(x.a, linear_semigroup(p, s, x.t).a, rtol=0, atol=1e-12)
 
 
 class TestEdgeInputs:
@@ -616,8 +626,7 @@ class TestEtdrk4:
         errors = []
         for j in (2, 3, 4):
             h = math.ldexp(0.01, -j)
-            stepper, _ = integrate_module._make_stepper(
-                p, StepControls(scheme=Scheme.DUHAMEL_IMEX), nonlinear=True)
+            stepper, _ = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
             y = s0.a.copy()
             for i in range(round(t_end / h)):
                 y, _ = stepper.attempt(i * h, y, h)

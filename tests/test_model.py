@@ -27,6 +27,8 @@ from dyadicflow.model import (
     weighted_slopes,
     xs_norm,
 )
+from dyadicflow.model import _xs_norms, _xs_weights
+from dyadicflow.scenarios import gen_bump
 from conftest import random_monotone_array, random_monotone_state
 
 
@@ -204,26 +206,46 @@ class TestNormsAndSlopes:
             xs_norm(state([0, 1]), 0.0)
 
     def test_slopes_examples(self):
-        np.testing.assert_allclose(slopes(state([0, 0.5, 0.75])).b, [0, 1, 1])
-        np.testing.assert_array_equal(slopes(state([0, 0, 0])).b, [0, 0, 0])
-        np.testing.assert_allclose(slopes(state([0, 1, 1])).b, [0, 2, 0])
+        np.testing.assert_allclose(slopes(state([0, 0.5, 0.75])), [0, 1, 1])
+        np.testing.assert_array_equal(slopes(state([0, 0, 0])), [0, 0, 0])
+        np.testing.assert_allclose(slopes(state([0, 1, 1])), [0, 2, 0])
 
     def test_weighted_slopes_examples(self):
         s = state([0, 0.5, 0.75])
-        np.testing.assert_allclose(weighted_slopes(s, 1.0).bs, slopes(s).b)
-        np.testing.assert_allclose(weighted_slopes(s, 2.0).bs, [0, 2, 4])
+        np.testing.assert_allclose(weighted_slopes(s, 1.0), slopes(s))
+        np.testing.assert_allclose(weighted_slopes(s, 2.0), [0, 2, 4])
         np.testing.assert_array_equal(
-            weighted_slopes(state([0, 0, 0]), 2.0).bs, [0, 0, 0]
+            weighted_slopes(state([0, 0, 0]), 2.0), [0, 0, 0]
         )
 
     def test_weighted_slope_cross_consistency(self, rng):
         for s_idx in (1.0, 1.5, 2.0):
             st_ = random_monotone_state(rng, 20)
-            b = slopes(st_).b
-            bs = weighted_slopes(st_, s_idx).bs
+            b = slopes(st_)
+            bs = weighted_slopes(st_, s_idx)
             karr = np.arange(21, dtype=float)
             expect = b * np.exp2((s_idx - 1.0) * karr)
             np.testing.assert_allclose(bs, expect, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "a, norm",
+        [(gen_bump(1024).a, 3.53125), (np.linspace(0.0, 7000.0, 701), math.inf)],
+        ids=["bump_k1024", "steep_ramp_k700"],
+    )
+    def test_overflowing_weights_do_not_warn(self, a, norm):
+        # 2**(1.5 k) overflows from k = 683, and on the ramp |d| * 2**(1.5 k)
+        # overflows below that; the suite turns a leaked RuntimeWarning into
+        # an error
+        st_ = state(a)
+        assert xs_norm(st_, 1.5) == norm
+        bs = weighted_slopes(st_, 1.5)
+        d = np.diff(a)
+        expect = np.zeros(a.size)
+        nz = np.flatnonzero(d) + 1
+        with np.errstate(over="ignore"):
+            assert norm == float(_xs_norms(a, d, 1.5))
+            expect[nz] = d[nz - 1] * _xs_weights(a.size, 1.5)[nz - 1]
+        np.testing.assert_array_equal(bs, expect)
 
 
 class TestConstants:
@@ -323,7 +345,7 @@ class TestCoercivityInequality:
         for _ in range(60):
             a = np.concatenate([[0.0], np.cumsum(inc)])
             st_ = state(a)
-            bks = weighted_slopes(st_, s).bs[k_dom]
+            bks = weighted_slopes(st_, s)[k_dom]
             norm = xs_norm(st_, s)
             if bks > cs * norm * 1.000001:
                 return st_
@@ -340,7 +362,7 @@ class TestCoercivityInequality:
                     p = ModelParams(alpha=alpha, trunc_k=kmax)
                     op = dissipation(p, st_)
                     lhs = (op[k] - op[k - 1]) * 2.0 ** (s * k)
-                    bks = weighted_slopes(st_, s).bs[k]
+                    bks = weighted_slopes(st_, s)[k]
                     ta = 2 * alpha
                     rhs = coercivity_constant(alpha) * (2.0 ** (ta * k) - 2.0**ta) * bks
                     assert lhs >= rhs - 1e-10

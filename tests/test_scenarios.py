@@ -39,7 +39,7 @@ class TestFront:
         s = gen_front(6, 3, 1.3, 0.5)
         from dyadicflow.model import slopes
 
-        b = slopes(s).b
+        b = slopes(s)
         expect = [0.0, 1.3, 1.69, 2.197, 1.0985, 0.54925, 0.274625]
         np.testing.assert_allclose(b, expect, rtol=1e-12)
         assert front_index(s) == 3
@@ -61,7 +61,7 @@ class TestFront:
         from dyadicflow.analysis import _split_margins
         from dyadicflow.model import slopes
 
-        b = slopes(gen_front(12, 5, 1.3, 0.5)).b
+        b = slopes(gen_front(12, 5, 1.3, 0.5))
         margins = _split_margins(b, require_increasing_prefix=True)
         assert margins[4] > 0.0  # split exactly at k0 = 5
 
@@ -75,8 +75,8 @@ class TestFront:
     def test_amplitude_scales_slopes(self):
         from dyadicflow.model import slopes
 
-        unit = slopes(gen_front(8, 3, 1.3, 0.5)).b
-        scaled = slopes(gen_front(8, 3, 1.3, 0.5, amplitude=7.0)).b
+        unit = slopes(gen_front(8, 3, 1.3, 0.5))
+        scaled = slopes(gen_front(8, 3, 1.3, 0.5, amplitude=7.0))
         np.testing.assert_allclose(scaled, 7.0 * unit, rtol=1e-14)
         with pytest.raises(DomainError):
             gen_front(8, 3, 1.3, 0.5, amplitude=0.0)
