@@ -6,13 +6,13 @@ with a signed worst-case margin (negative = violation).  State-level
 functionals (slope ratios, the blow-up functional J, Hölder seminorms,
 the good/bad index decomposition) live here too.
 
-Trajectory-level checks accept any object with the :class:`Trajectory`
-shape from :mod:`dyadicflow.integrate` (``params``, ``delta``, ``samples``
-with ``t`` / ``state`` / ``diag`` fields).  They read the states as stacked
-``(rows, K+1)`` blocks of at most :data:`BLOCK_ROWS` samples and make one
-array pass per block (:func:`_row_blocks`); checks on consecutive pairs
-overlap the blocks by one row.  Results equal a sample-by-sample loop
-bitwise, ties included: the first sample, check and index wins.
+Trajectory-level checks take a :class:`~dyadicflow.integrate.Trajectory`:
+its ``times`` (n,), ``states`` (n, K+1) and ``diag`` columns.  They read the
+states in blocks of at most :data:`BLOCK_ROWS` rows, views of ``states``,
+and make one array pass per block (:func:`_row_blocks`); checks on
+consecutive pairs overlap the blocks by one row.  Results equal a
+sample-by-sample loop bitwise, ties included: the first sample, check and
+index wins.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,17 +33,14 @@ from dyadicflow.model import (
     default_goodbad_threshold,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from dyadicflow.integrate import Trajectory
-
 logger = logging.getLogger(__name__)
 
 SQRT2 = math.sqrt(2.0)
 
-#: Samples per stacked block of the trajectory passes.  On 5,001 samples of
-#: K = 20, whole-trajectory arrays raise the tracemalloc peak of the four
-#: inviscid checks to 6.9 MB; blocks of 512 rows peak at 1.1 MB and run as
-#: fast.
+#: Rows per block of the trajectory passes.  On 5,001 samples of
+#: K = 20, whole-trajectory temporaries raise the tracemalloc peak of the
+#: four inviscid checks to 6.0 MB; blocks of 512 rows peak at 0.95 MB and
+#: run as fast.
 BLOCK_ROWS = 512
 
 #: A slope ratio ``b_k / b_{k-1}`` is skipped when its denominator is at or
@@ -289,20 +286,16 @@ def riccati_fit(j_series) -> Optional[float]:
 # trajectory-level checks
 
 
-def _row_blocks(rows, overlap: int = 0):
-    """Yield ``(lo, block)``: the 1-d arrays ``rows[lo:hi]`` stacked into one array.
+def _row_blocks(a: np.ndarray, overlap: int = 0):
+    """Yield ``(lo, a[lo:hi])``: views of consecutive row ranges of a 2-d array.
 
     Each block adds up to :data:`BLOCK_ROWS` new rows; every block after the
     first also repeats the last ``overlap`` rows of the one before, so a
     pass over consecutive pairs (``overlap=1``) sees each pair once.
     """
-    for start in range(0, len(rows), BLOCK_ROWS):
+    for start in range(0, len(a), BLOCK_ROWS):
         lo = max(start - overlap, 0)
-        yield lo, np.stack(rows[lo : start + BLOCK_ROWS])
-
-
-def _state_blocks(traj, overlap: int = 0):
-    return _row_blocks([s.state.a for s in traj.samples], overlap)
+        yield lo, a[lo : start + BLOCK_ROWS]
 
 
 def _first_min(values: np.ndarray, worst: float) -> Optional[tuple]:
@@ -318,13 +311,13 @@ def _first_min(values: np.ndarray, worst: float) -> Optional[tuple]:
 def check_monotone_traj(traj, tolerance: float = 1e-10) -> InvariantReport:
     """Monotonicity/positivity preservation over every sample."""
     worst = math.inf
-    loc = (traj.samples[0].t, None)
-    for lo, a in _state_blocks(traj):
+    loc = (float(traj.times[0]), None)
+    for lo, a in _row_blocks(traj.states):
         candidates = np.concatenate([a[:, :1], np.diff(a, axis=1)], axis=1)
         hit = _first_min(candidates, worst)
         if hit is not None:
             worst = float(candidates[hit])
-            loc = (traj.samples[lo + hit[0]].state.t, int(hit[1]))
+            loc = (float(traj.times[lo + hit[0]]), int(hit[1]))
     return InvariantReport.from_margin("monotone_nonneg", worst, loc, tolerance)
 
 
@@ -334,12 +327,7 @@ def check_max_principle(traj, tolerance: float = 1e-8) -> InvariantReport:
     Dissipative runs: ``sup_k a_k`` non-increasing and ``a_0`` non-decreasing.
     Inviscid runs: ``sup_k a_k`` constant and ``a_0`` identically zero.
     """
-    n = len(traj.samples)
-    sups, a0s = np.empty(n), np.empty(n)
-    for lo, a in _state_blocks(traj):
-        sups[lo : lo + len(a)] = a.max(axis=1)
-        a0s[lo : lo + len(a)] = a[:, 0]
-    ts = np.array([s.t for s in traj.samples])
+    sups, a0s, ts = traj.states.max(axis=1), traj.states[:, 0], traj.times
     if traj.params.alpha > 0.0:
         if len(sups) < 2:
             return InvariantReport.from_margin("max_principle", 0.0, (ts[0], None), tolerance)
@@ -387,12 +375,12 @@ def check_sqrt2_structure(traj, tolerance: float = 1e-9) -> InvariantReport:
     K_0 with strictly decreasing slopes beyond K_t and the sqrt(2) ratio
     bound up to K_t; the largest admissible split must never move left.
     """
-    b0 = _slopes_array(traj.samples[0].state.a)
+    b0 = _slopes_array(traj.states[0])
     k0 = int(np.argmax(b0[1:])) + 1
     worst = math.inf
-    loc = (traj.samples[0].t, None)
+    loc = (float(traj.times[0]), None)
     prev_split = 0  # no split yet: every split is at least k0 >= 1
-    for lo, a in _state_blocks(traj):
+    for lo, a in _row_blocks(traj.states):
         eligible = _split_margins(_slopes_array(a), require_increasing_prefix=False)[:, k0 - 1 :]
         valid = eligible >= -tolerance
         has_split = valid.any(axis=1)
@@ -407,7 +395,7 @@ def check_sqrt2_structure(traj, tolerance: float = 1e-9) -> InvariantReport:
         if hit is not None:
             row, col = hit
             worst = float(candidates[hit])
-            t = traj.samples[lo + row].t
+            t = float(traj.times[lo + row])
             loc = (t, None) if col == 0 else (t, int(split[row]))
         prev_split = int(seen[-1])
     return InvariantReport.from_margin("sqrt2_structure", worst, loc, tolerance)
@@ -429,11 +417,11 @@ def check_ordering_persistence_inviscid(traj, tolerance: float = 1e-9) -> Invari
     if traj.params.alpha != 0.0:
         raise DomainError("ordering persistence check applies to inviscid runs")
     worst = math.inf
-    loc = (traj.samples[0].t, None)
-    n = traj.samples[0].state.a.size
+    loc = (float(traj.times[0]), None)
+    n = traj.states.shape[1]
     # the index k of each column of _ordering_margins
     karr = np.concatenate([np.arange(3, n), np.arange(2, n), np.arange(3, n)])
-    for lo, a in _state_blocks(traj, overlap=1):
+    for lo, a in _row_blocks(traj.states, overlap=1):
         if len(a) < 2 or n < 3:
             continue
         b = _slopes_array(a)
@@ -441,7 +429,7 @@ def check_ordering_persistence_inviscid(traj, tolerance: float = 1e-9) -> Invari
         hit = _first_min(candidates, worst)
         if hit is not None:
             worst = float(candidates[hit])
-            loc = (traj.samples[lo + hit[0] + 1].t, int(karr[hit[1]]))
+            loc = (float(traj.times[lo + hit[0] + 1]), int(karr[hit[1]]))
     return InvariantReport.from_margin("ordering_inviscid", worst, loc, tolerance)
 
 
@@ -477,11 +465,10 @@ def _ordering_margins(prev: np.ndarray, cur: np.ndarray, tolerance: float) -> np
 def _j_series(traj, delta: Optional[float]) -> tuple[float, list[float], list[float]]:
     if delta is None or delta == traj.delta:
         delta = traj.delta
-        js = [s.diag.j_value for s in traj.samples]
+        js = traj.diag.j_value.tolist()
     else:
-        js = [j for _, a in _state_blocks(traj) for j in _j_values(a, delta)]
-    ts = [s.t for s in traj.samples]
-    return delta, ts, js
+        js = [j for _, a in _row_blocks(traj.states) for j in _j_values(a, delta)]
+    return delta, traj.times.tolist(), js
 
 
 def fit_riccati_constants(traj, delta: Optional[float] = None) -> tuple[float, float]:
@@ -513,7 +500,7 @@ def fit_riccati_constants(traj, delta: Optional[float] = None) -> tuple[float, f
     xbar, ybar = xw.mean(), yw.mean()
     sxx = float(np.sum((xw - xbar) ** 2))
     c1 = float(np.sum((xw - xbar) * (yw - ybar)) / sxx) if sxx > 0 else 0.0
-    sup_a = max(float(np.abs(a).max()) for _, a in _state_blocks(traj))
+    sup_a = max(float(np.abs(a).max()) for _, a in _row_blocks(traj.states))
     c2 = max(0.0, float(np.max(c1 * x - fd))) / (1.0 + sup_a)
     return c1, c2
 
@@ -539,9 +526,9 @@ def riccati_inequality_check(traj, delta: Optional[float] = None) -> InvariantRe
     t = np.asarray(ts)
     j = np.asarray(js)
     cadence = float(np.median(np.diff(t)))
-    weight = _xs_weights(traj.samples[0].state.a.size, delta - 1.0)
+    weight = _xs_weights(traj.states.shape[1], delta - 1.0)
     rhs = np.empty(len(t))
-    for lo, a in _state_blocks(traj):
+    for lo, a in _row_blocks(traj.states):
         terms = _slopes_array(a)[:, 1:] ** 2 * weight
         rhs[lo : lo + len(a)] = [math.fsum(row.tolist()) for row in terms]
     rhs = rhs[1:-1]
@@ -556,12 +543,11 @@ def riccati_inequality_check(traj, delta: Optional[float] = None) -> InvariantRe
 def blowup_diagnostics(traj, delta: Optional[float] = None) -> BlowupDiagnostics:
     """Collect blow-up series (J, fitted T, front index, escape time)."""
     delta, ts, js = _j_series(traj, delta)
-    fronts = tuple((s.t, s.diag.front_index) for s in traj.samples)
     return BlowupDiagnostics(
         delta=delta,
         j_series=tuple(zip(ts, js)),
         riccati_t=riccati_fit(list(zip(ts, js))),
-        front_series=fronts,
+        front_series=tuple(zip(ts, traj.diag.front_index.tolist())),
         escape_time=traj.escape_time,
     )
 

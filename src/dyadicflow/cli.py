@@ -21,7 +21,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from typing import Optional
@@ -39,16 +38,14 @@ from dyadicflow.config import (
     load_sweep,
 )
 from dyadicflow.integrate import (
-    DiagnosticsRecord,
     IntegrationAbortError,
     Termination,
     Trajectory,
-    TrajectorySample,
-    _diagnostics,
+    _trajectory,
     integrate,
     linear_semigroup_samples,
 )
-from dyadicflow.model import DyadicState, xs_norm
+from dyadicflow.model import xs_norm
 
 logger = logging.getLogger("dyadicflow")
 
@@ -72,11 +69,10 @@ def inject_fault(traj: Trajectory, kind: str) -> Trajectory:
     """Deterministically corrupt one interior sample (check test harness)."""
     if kind not in FAULT_KINDS:
         raise ConfigError(f"unknown fault kind {kind!r}; known: {list(FAULT_KINDS)}")
-    samples = list(traj.samples)
-    i = max(1, len(samples) // 2) if len(samples) > 1 else 0
-    target = samples[i]
-    a = target.state.a.copy()
-    k = max(1, target.state.k // 2)
+    states = traj.states.copy()
+    i = max(1, len(states) // 2) if len(states) > 1 else 0
+    a = states[i]  # a view: the corruption below writes into the copy
+    k = max(1, (a.size - 1) // 2)
     if kind == "sign-flip":
         # push a_k below its predecessor: breaks monotonicity outright
         a[k] = a[k - 1] - 0.1 * (1.0 + float(np.max(np.abs(a))))
@@ -86,13 +82,9 @@ def inject_fault(traj: Trajectory, kind: str) -> Trajectory:
         b_prev = (a[k - 1] - a[k - 2]) * 2.0 ** (k - 1) if k >= 2 else 1.0
         shift = a[k - 1] + 1.5 * abs(b_prev) * 2.0**-k - a[k]
         a[k:] += max(shift, 1e-6)
-    corrupted = DyadicState(t=target.t, a=a)
-    samples[i] = TrajectorySample(
-        t=target.t,
-        state=corrupted,
-        diag=_diagnostics(corrupted.a[None, :], traj.params.norm_s, traj.delta)[0],
+    return _trajectory(
+        traj.params, traj.delta, traj.times, states, traj.termination, traj.escape_time
     )
-    return dataclasses.replace(traj, samples=tuple(samples))
 
 
 def run_scan(
@@ -128,7 +120,7 @@ def cmd_simulate(args) -> int:
     prefix = _prefix(cfg, args)
     output.save_outputs(traj, reports, diag, prefix)
     esc = "" if traj.escape_time is None else f" escape_t={traj.escape_time!r}"
-    _emit(args, f"simulate: {traj.termination.value} samples={len(traj.samples)}{esc} -> {prefix}")
+    _emit(args, f"simulate: {traj.termination.value} samples={len(traj.times)}{esc} -> {prefix}")
     return 2 if traj.termination is Termination.ESCAPE_DETECTED else 0
 
 

@@ -17,15 +17,14 @@ the file loads.
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from dyadicflow import analysis
 from dyadicflow.integrate import Scheme, StepControls
 from dyadicflow.model import DomainError, DyadicState, ModelParams, Tail
+from dyadicflow.output import _atomic_write_text
 from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric
 
 class ConfigError(ValueError):
@@ -259,11 +258,7 @@ def config_text(cfg: RunConfig, sweep: Optional[SweepSpec] = None) -> str:
 
 def save_config(cfg: RunConfig, path, sweep: Optional[SweepSpec] = None) -> None:
     """Write a configuration file that reloads equal to ``cfg``."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(config_text(cfg, sweep))
-    os.replace(tmp, path)
+    _atomic_write_text(path, config_text(cfg, sweep))
 
 
 def cell_config(base: RunConfig, alpha: float, trunc_k: int) -> RunConfig:

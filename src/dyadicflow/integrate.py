@@ -24,18 +24,20 @@ The default for dissipative runs is the IMEX scheme.  :func:`step` and
 :func:`integrate` share one step-size controller, :func:`_attempt`; it
 snaps the proposals of a stepper whose ``ladder`` attribute is set.
 
-At each recorded sample :func:`integrate` runs only the monotone guard and
-the escape test, on one difference vector.  The :class:`DiagnosticsRecord`
-of every sample is built after the run by :func:`_diagnostics`, one stacked
-block of samples per call (``analysis.BLOCK_ROWS`` rows), with results equal
-to a per-sample computation bitwise.
+A run is stored as arrays: :class:`Trajectory` holds the sample times
+``(n,)``, the states ``(n, K+1)`` and their :class:`Diagnostics`, one
+``(n,)`` column per scalar.  At each recorded sample :func:`integrate` only
+keeps ``t`` and the state and runs the monotone guard and the escape test;
+after the run :func:`_trajectory` stacks the states once and fills the
+diagnostics by :func:`_diagnostics`, one block of ``analysis.BLOCK_ROWS``
+rows per call, with results equal to a per-sample computation bitwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Optional
 
@@ -46,6 +48,7 @@ from dyadicflow import analysis
 from dyadicflow.model import (
     DomainError,
     DyadicState,
+    InvalidInputError,
     ModelParams,
     _check_state,
     _rhs_inviscid_array,
@@ -112,52 +115,68 @@ class StepControls:
             raise DomainError(f"scheme must be a Scheme value, got {self.scheme!r}")
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Scalar diagnostics attached to each recorded sample."""
-
-    xs_norm: float
-    sup_a: float
-    a0: float
-    j_value: float
-    max_ratio: float  # nan when no ratio is defined
-    front_index: int
-    holder_half: float
+def _frozen(x, dtype=None) -> np.ndarray:
+    """A read-only copy of ``x``."""
+    arr = np.array(x, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    state: DyadicState
-    diag: DiagnosticsRecord
+@dataclass(frozen=True, eq=False)
+class Diagnostics:
+    """Scalar diagnostics of the recorded samples, one read-only ``(n,)`` column each."""
+
+    xs_norm: np.ndarray
+    sup_a: np.ndarray
+    a0: np.ndarray
+    j_value: np.ndarray
+    max_ratio: np.ndarray  # nan where no ratio is defined
+    front_index: np.ndarray  # integers
+    holder_half: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded run: parameters, sampled states with diagnostics, termination."""
+    """Recorded run: parameters, sample times, states and diagnostics, termination.
+
+    ``times`` (n,) and ``states`` (n, K+1) are read-only copies of what was
+    passed; times must increase strictly and every entry must be finite.
+    """
 
     params: ModelParams
     delta: float
-    samples: tuple[TrajectorySample, ...]
+    times: np.ndarray
+    states: np.ndarray
+    diag: Diagnostics
     termination: Termination
     escape_time: Optional[float] = None
 
     def __post_init__(self):
-        ts = [s.t for s in self.samples]
-        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
+        times = _frozen(self.times, float)
+        states = _frozen(self.states, float)
+        if times.ndim != 1 or times.size < 1 or states.shape != (times.size, self.params.n_modes):
+            raise InvalidInputError(
+                f"need n >= 1 times and an (n, {self.params.n_modes}) state array, "
+                f"got {times.shape} and {states.shape}"
+            )
+        if not (np.isfinite(times).all() and np.isfinite(states).all()):
+            raise InvalidInputError("trajectory times and states must all be finite")
+        if (times[1:] <= times[:-1]).any():
             raise DomainError("sample times must be strictly increasing")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
 
     @property
     def final_state(self) -> DyadicState:
-        return self.samples[-1].state
+        return DyadicState(t=float(self.times[-1]), a=self.states[-1])
 
     def max_xs_norm(self) -> float:
         """Largest recorded X^s diagnostic norm (at params.norm_s)."""
-        return max(s.diag.xs_norm for s in self.samples)
+        return float(self.diag.xs_norm.max())
 
 
 # ---------------------------------------------------------------------------
@@ -347,37 +366,31 @@ def _scaled_error(err, y_old, y_new, rtol, atol):
     return math.inf if math.isnan(v) else v
 
 
-def _diagnostics(a: np.ndarray, norm_s: float, delta: float) -> list[DiagnosticsRecord]:
-    """The record of each row of a stacked ``(rows, K+1)`` block of states."""
+def _diagnostics(a: np.ndarray, norm_s: float, delta: float) -> tuple[np.ndarray, ...]:
+    """The :class:`Diagnostics` columns of the rows of an ``(rows, K+1)`` block of states."""
     b = _slopes_array(a)  # one slope pass serves the three slope functionals
     ratios, kept = analysis._ratio_table(b)
     # the entry at the first maximum, as the state-level report takes it: a
     # max reduction may return 0.0 where that entry is -0.0
     top = np.take_along_axis(ratios, ratios.argmax(axis=1)[:, None], axis=1)[:, 0]
-    defined = kept.any(axis=1).tolist()
-    max_ratio = [r if ok else math.nan for r, ok in zip(top.tolist(), defined)]
-    return [
-        DiagnosticsRecord(*row)
-        for row in zip(
-            _xs_norms(a, np.diff(a, axis=1), norm_s).tolist(),
-            a.max(axis=1).tolist(),
-            a[:, 0].tolist(),
-            analysis._j_values(a, delta),
-            max_ratio,
-            analysis._front_index(b).tolist(),
-            analysis._holder_seminorm(b, 0.5).tolist(),
-        )
-    ]
+    return (
+        _xs_norms(a, np.diff(a, axis=1), norm_s),
+        a.max(axis=1),
+        a[:, 0],
+        np.array(analysis._j_values(a, delta)),
+        np.where(kept.any(axis=1), top, math.nan),
+        analysis._front_index(b),
+        analysis._holder_seminorm(b, 0.5),
+    )
 
 
-def _trajectory(params, delta, states, termination, escape_time=None) -> Trajectory:
-    """Attach the diagnostics records to the recorded states, one block at a time."""
-    diags = []
+def _trajectory(params, delta, times, states, termination, escape_time=None) -> Trajectory:
+    """Stack the recorded times and states and fill their diagnostics, one block at a time."""
+    states = np.stack(states)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, block in analysis._row_blocks([st.a for st in states]):
-            diags += _diagnostics(block, params.norm_s, delta)
-    samples = tuple(TrajectorySample(t=st.t, state=st, diag=d) for st, d in zip(states, diags))
-    return Trajectory(params, delta, samples, termination, escape_time)
+        blocks = [_diagnostics(a, params.norm_s, delta) for _, a in analysis._row_blocks(states)]
+    diag = Diagnostics(*map(np.concatenate, zip(*blocks)))
+    return Trajectory(params, delta, times, states, diag, termination, escape_time)
 
 
 def _record_times(t0: float, t_end: float, every: float) -> tuple[list[float], bool]:
@@ -492,7 +505,7 @@ def integrate(
     so a violation means integrator error, not dynamics.  The default abort
     tolerance scales with the step-error tolerances, marking only gross
     violations; pass an explicit value for tighter runs.  The diagnostics
-    records are built after the run, in blocks of samples.
+    are computed after the run, in blocks of samples.
     """
     a0 = _check_state(params, state0)
     t0 = state0.t
@@ -517,18 +530,20 @@ def integrate(
     )
 
     stepper, scheme = _make_stepper(params, controls)
-    states: list[DyadicState] = []
+    times: list[float] = []
+    states: list[np.ndarray] = []  # steps return new arrays, so none is written later
     termination: Optional[Termination] = None
     escape_time: Optional[float] = None
 
     def snapshot(t, y) -> bool:
         """Record a state; True when the run should stop (escape/guard).
 
-        Only the guard and the escape test run here; the diagnostics
-        records are built after the run, in blocks.
+        Only the guard and the escape test run here; the diagnostics are
+        computed after the run, in blocks.
         """
         nonlocal termination, escape_time
-        states.append(DyadicState(t=t, a=y))
+        times.append(t)
+        states.append(y)
         d = y[1:] - y[:-1]  # np.diff, without its call overhead
         if guard:
             worst = min(float(y[0]), float(d.min()))
@@ -542,9 +557,9 @@ def integrate(
         return False
 
     if snapshot(t0, a0):
-        return _trajectory(params, delta, states, termination, escape_time)
+        return _trajectory(params, delta, times, states, termination, escape_time)
     if t_end == t0:
-        return _trajectory(params, delta, states, Termination.REACHED_T_END)
+        return _trajectory(params, delta, times, states, Termination.REACHED_T_END)
 
     rec, _ = _record_times(t0, t_end, controls.record_every)
     y = a0.copy()
@@ -585,13 +600,13 @@ def integrate(
 
     if termination is None:
         termination = Termination.REACHED_T_END
-    elif termination is not Termination.ESCAPE_DETECTED and states[-1].t < t:
+    elif termination is not Termination.ESCAPE_DETECTED and times[-1] < t:
         # partial run: keep the last reached point for post-mortem inspection;
         # a state past the threshold reports the escape, whatever stopped the run
         if np.all(np.isfinite(y)):
             snapshot(t, y)
 
-    return _trajectory(params, delta, states, termination, escape_time)
+    return _trajectory(params, delta, times, states, termination, escape_time)
 
 
 def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> DyadicState:
@@ -653,11 +668,11 @@ def detect_escape(traj: Trajectory, threshold: float, s: float) -> Optional[floa
 
     The norms are computed one block of samples at a time.
     """
-    a0 = traj.samples[0].state.a
+    a0 = traj.states[0]
     if not (threshold > _xs_norms(a0, np.diff(a0), s)):
         raise DomainError("threshold must exceed the initial norm")
-    for lo, a in analysis._state_blocks(traj):
+    for lo, a in analysis._row_blocks(traj.states):
         above = np.flatnonzero(_xs_norms(a, np.diff(a, axis=1), s) > threshold)
         if above.size:
-            return traj.samples[lo + int(above[0])].t
+            return float(traj.times[lo + int(above[0])])
     return None

@@ -314,9 +314,15 @@ def slopes(state: DyadicState) -> np.ndarray:
 
 
 def _slopes_array(a: np.ndarray) -> np.ndarray:
-    """Slopes of one state, or of each row of a stacked block, along the last axis."""
+    """Slopes of one state, or of each row of a stacked block, along the last axis.
+
+    ``d * 2**k`` is only formed where ``d = a_k - a_{k-1}`` is non-zero; elsewhere
+    ``b_k`` keeps the signed zero of ``d``, also where the weight overflows (k >= 1024).
+    """
     b = np.zeros(a.shape)
-    b[..., 1:] = np.diff(a, axis=-1) * _xs_weights(a.shape[-1], 1.0)
+    d = b[..., 1:]
+    np.subtract(a[..., 1:], a[..., :-1], out=d)
+    np.multiply(d, _xs_weights(a.shape[-1], 1.0), out=d, where=d != 0.0)
     return b
 
 

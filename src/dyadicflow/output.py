@@ -42,19 +42,26 @@ def _atomic_write_text(path, text: str) -> Path:
     return path
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> Path:
-    """One row per sample with the scalar diagnostics and the termination."""
+def _write_csv(path, header, rows) -> Path:
+    """Write a header row and the rows, each a list of cells, as one CSV file."""
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(TRAJECTORY_HEADER)
-    term = traj.termination.value
-    for s in traj.samples:
-        d = s.diag
-        w.writerow(
-            [_f(s.t), _f(d.a0), _f(d.sup_a), _f(d.xs_norm), _f(d.j_value),
-             _f(d.max_ratio), d.front_index, _f(d.holder_half), term]
-        )
+    w.writerow(header)
+    w.writerows(rows)
     return _atomic_write_text(path, buf.getvalue())
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> Path:
+    """One row per sample with the scalar diagnostics and the termination."""
+    d = traj.diag
+    columns = (traj.times, d.a0, d.sup_a, d.xs_norm, d.j_value, d.max_ratio, d.front_index,
+               d.holder_half)
+    term = traj.termination.value
+    rows = (
+        [_f(t), _f(a0), _f(sup_a), _f(xs), _f(j), _f(ratio), front, _f(holder), term]
+        for t, a0, sup_a, xs, j, ratio, front, holder in zip(*(c.tolist() for c in columns))
+    )
+    return _write_csv(path, TRAJECTORY_HEADER, rows)
 
 
 def read_trajectory_csv(path) -> list[dict]:
@@ -81,12 +88,8 @@ def write_state_csv(state: DyadicState, s: float, path) -> Path:
     """Dump ``k, a_k, b_k, b_{k,s}`` for every stored index."""
     b = slopes(state)
     bs = weighted_slopes(state, s)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(STATE_HEADER)
-    for k in range(state.k + 1):
-        w.writerow([k, _f(state.a[k]), _f(b[k]), _f(bs[k])])
-    return _atomic_write_text(path, buf.getvalue())
+    rows = ([k, _f(state.a[k]), _f(b[k]), _f(bs[k])] for k in range(state.k + 1))
+    return _write_csv(path, STATE_HEADER, rows)
 
 
 def read_state_csv(path) -> list[dict]:
@@ -100,12 +103,7 @@ def read_state_csv(path) -> list[dict]:
 
 def write_profile_csv(points, path) -> Path:
     """Profile reconstruction points as ``x,y`` rows."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(PROFILE_HEADER)
-    for x, y in points:
-        w.writerow([_f(x), _f(y)])
-    return _atomic_write_text(path, buf.getvalue())
+    return _write_csv(path, PROFILE_HEADER, ([_f(x), _f(y)] for x, y in points))
 
 
 def read_profile_csv(path) -> list[tuple[float, float]]:
@@ -115,12 +113,7 @@ def read_profile_csv(path) -> list[tuple[float, float]]:
 
 def write_series_csv(rows, header, path) -> Path:
     """Two-column scalar series (e.g. ``t, xs_norm``) as CSV."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(list(header))
-    for x, y in rows:
-        w.writerow([_f(x), _f(y)])
-    return _atomic_write_text(path, buf.getvalue())
+    return _write_csv(path, header, ([_f(x), _f(y)] for x, y in rows))
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:
@@ -177,12 +170,11 @@ def write_blowup_json(diag: BlowupDiagnostics, path) -> Path:
 
 def write_scan_csv(rows, path) -> Path:
     """Sweep summary rows ``(alpha, K, max_norm, escape_time-or-None)``."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(SCAN_HEADER)
-    for alpha, kk, max_norm, esc in rows:
-        w.writerow([_f(alpha), kk, _f(max_norm), "" if esc is None else _f(esc)])
-    return _atomic_write_text(path, buf.getvalue())
+    cells = (
+        [_f(alpha), kk, _f(max_norm), "" if esc is None else _f(esc)]
+        for alpha, kk, max_norm, esc in rows
+    )
+    return _write_csv(path, SCAN_HEADER, cells)
 
 
 def read_scan_csv(path) -> list[tuple[float, int, float, Optional[float]]]:

@@ -195,9 +195,9 @@ def test_criterion_05_preservation():
     ):
         p = ModelParams(alpha=0.0, trunc_k=kmax, norm_s=1.5)
         traj = integrate(p, data, t_end, inv, escape_threshold=1e30)
-        sups = np.array([float(np.max(s.state.a)) for s in traj.samples])
+        sups = traj.states.max(axis=1)
         sup_drift = max(sup_drift, float(np.max(np.abs(sups - sups[0]))))
-        a0_exact = a0_exact and all(s.state.a[0] == 0.0 for s in traj.samples)
+        a0_exact = a0_exact and bool(np.all(traj.states[:, 0] == 0.0))
     report(
         5,
         runs == 20
@@ -253,7 +253,7 @@ def test_criterion_07_inviscid_blowup_proxy():
     for kmax in (12, 16, 20):
         p = ModelParams(alpha=0.0, trunc_k=kmax, norm_s=1.5)
         traj = integrate(p, gen_bump(kmax), 6.0, c, delta=0.5, escape_threshold=1e30)
-        fits[kmax] = riccati_fit([(s.t, s.diag.j_value) for s in traj.samples])
+        fits[kmax] = riccati_fit(list(zip(traj.times, traj.diag.j_value)))
         max_norms[kmax] = traj.max_xs_norm()
     finite = all(t is not None and math.isfinite(t) for t in fits.values())
     ts = list(fits.values())
@@ -281,10 +281,10 @@ def test_criterion_08_sqrt2_structure_and_holder():
                 dt_init=dt, scheme=Scheme.REFERENCE_FIXED_RK4, record_every=0.02
             )
             traj = integrate(p, gen_front(kmax, 4, 1.2, 0.5), 2.0, c)
-            for s in traj.samples:
+            for a in traj.states:
                 from dyadicflow.model import _slopes_array
 
-                b = _slopes_array(s.state.a)
+                b = _slopes_array(a)
                 worst_ratio = min(worst_ratio, float(np.min(SQRT2 * b[1:-1] - b[2:])))
                 karr = np.arange(1, b.size, dtype=float)
                 chain = np.exp2((karr - 1.0) / 2.0) * b[1] - b[1:]
@@ -328,7 +328,7 @@ def test_criterion_09_dichotomy_scan():
         delta=0.5,
         escape_threshold=1e30,
     )
-    t_fit = riccati_fit([(s.t, s.diag.j_value) for s in traj_inv.samples])
+    t_fit = riccati_fit(list(zip(traj_inv.times, traj_inv.diag.j_value)))
     assert t_fit is not None and base.t_end > t_fit
 
     spec = SweepSpec(alphas=(0.15, 0.35), ks=(12, 16, 20), base=base)

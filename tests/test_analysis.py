@@ -238,7 +238,7 @@ def inviscid_traj():
     p = ModelParams(alpha=0.0, trunc_k=16, norm_s=1.5)
     c = StepControls(rel_tol=1e-10, abs_tol=1e-13, record_every=0.01)
     traj = integrate(p, gen_front(16, 4, 1.2, 0.5), 0.7, c, escape_threshold=1e30)
-    assert max(s.diag.front_index for s in traj.samples) <= 13
+    assert traj.diag.front_index.max() <= 13
     return traj
 
 
@@ -252,15 +252,15 @@ class TestTrajectoryChecks:
         rep = check_max_principle(dissipative_traj)
         assert rep.passed
         # a_0 strictly increases and the sup strictly decreases
-        a0s = [s.state.a[0] for s in dissipative_traj.samples]
-        sups = [float(np.max(s.state.a)) for s in dissipative_traj.samples]
+        a0s = dissipative_traj.states[:, 0]
+        sups = dissipative_traj.states.max(axis=1)
         assert a0s[-1] > a0s[0]
         assert sups[-1] < sups[0]
 
     def test_max_principle_inviscid_conserves_sup(self, inviscid_traj):
         rep = check_max_principle(inviscid_traj, tolerance=1e-8)
         assert rep.passed
-        assert all(s.state.a[0] == 0.0 for s in inviscid_traj.samples)
+        assert np.all(inviscid_traj.states[:, 0] == 0.0)
 
     def test_single_sample_trivially_passes(self):
         p = ModelParams(alpha=0.3, trunc_k=4)
@@ -277,7 +277,7 @@ class TestTrajectoryChecks:
         bad = inject_fault(dissipative_traj, "sqrt2-ratio")
         rep = check_sqrt2_structure(bad)
         assert not rep.passed
-        t_bad = bad.samples[len(bad.samples) // 2].t
+        t_bad = bad.times[len(bad.times) // 2]
         assert rep.worst_location[0] == pytest.approx(t_bad)
 
     def test_ordering_inviscid(self, inviscid_traj):
@@ -327,7 +327,7 @@ class TestTrajectoryChecks:
         p = ModelParams(alpha=0.0, trunc_k=16, norm_s=1.5)
         c = StepControls(rel_tol=1e-10, abs_tol=1e-13, record_every=0.01)
         probe = integrate(p, gen_front(16, 4, 1.2, 0.5), 2.0, c, escape_threshold=1e30)
-        t_fit = riccati_fit([(s.t, s.diag.j_value) for s in probe.samples])
+        t_fit = riccati_fit(list(zip(probe.times, probe.diag.j_value)))
         assert t_fit is not None
         traj = integrate(p, gen_front(16, 4, 1.2, 0.5), 0.9 * t_fit, c,
                          escape_threshold=1e30)
@@ -339,21 +339,21 @@ class TestTrajectoryChecks:
         assert rep.name == "riccati_inequality_dissipative"
         assert rep.worst_margin == pytest.approx(c1)
         # inequality holds with the fitted constants by construction
-        ts = [s.t for s in dissipative_traj.samples]
-        js = [s.diag.j_value for s in dissipative_traj.samples]
-        sup_a = max(float(np.max(s.state.a)) for s in dissipative_traj.samples)
+        ts = dissipative_traj.times.tolist()
+        js = dissipative_traj.diag.j_value.tolist()
+        sup_a = float(np.max(dissipative_traj.states))
         for i in range(1, len(ts) - 1):
             fd = (js[i + 1] - js[i - 1]) / (ts[i + 1] - ts[i - 1])
             assert fd >= c1 * js[i] ** 2 - c2 * (1.0 + sup_a) - 1e-12
 
     def test_j_monotone_along_inviscid_run(self, inviscid_traj):
-        js = [s.diag.j_value for s in inviscid_traj.samples]
+        js = inviscid_traj.diag.j_value.tolist()
         assert all(j1 >= j0 - 1e-12 for j0, j1 in zip(js, js[1:]))
 
     def test_blowup_diagnostics_collection(self, inviscid_traj):
         diag = blowup_diagnostics(inviscid_traj)
         assert diag.delta == inviscid_traj.delta
-        assert len(diag.j_series) == len(inviscid_traj.samples)
+        assert len(diag.j_series) == len(inviscid_traj.times)
         assert all(j >= 0.0 for _, j in diag.j_series)
         fronts = [k for _, k in diag.front_series]
         assert all(f1 >= f0 for f0, f1 in zip(fronts, fronts[1:]))
@@ -379,16 +379,14 @@ class TestEq17Consistency:
         c = StepControls(dt_init=1e-4, scheme=Scheme.REFERENCE_FIXED_RK4,
                          record_every=cadence)
         traj = integrate(p, gen_front(10, 4, 1.2, 0.5), 0.05, c)
-        samples = traj.samples
+        samples = [DyadicState(t=t, a=a) for t, a in zip(traj.times.tolist(), traj.states)]
         worst = 0.0
         for i in range(1, len(samples) - 1):
             sm, s0, sp = samples[i - 1], samples[i], samples[i + 1]
-            fd = (weighted_slopes(sp.state, s_idx) - weighted_slopes(sm.state, s_idx)) / (
-                sp.t - sm.t
-            )
-            b = slopes(s0.state)
-            bs = weighted_slopes(s0.state, s_idx)
-            op = dissipation(p, s0.state)
+            fd = (weighted_slopes(sp, s_idx) - weighted_slopes(sm, s_idx)) / (sp.t - sm.t)
+            b = slopes(s0)
+            bs = weighted_slopes(s0, s_idx)
+            op = dissipation(p, s0)
             karr = np.arange(1, 11, dtype=float)
             rhs = (
                 -b[1:] * bs[1:]
@@ -397,7 +395,7 @@ class TestEq17Consistency:
             )
             worst = max(worst, float(np.max(np.abs(fd[1:] - rhs))))
         scale = max(
-            float(np.max(np.abs(weighted_slopes(s.state, s_idx)))) for s in samples
+            float(np.max(np.abs(weighted_slopes(s, s_idx)))) for s in samples
         )
         return worst, scale
 

@@ -1,10 +1,11 @@
 """Block-wise diagnostics and trajectory checks against sample-by-sample loops.
 
-The records of a trajectory and the trajectory checks are computed from
-stacked blocks of samples.  The loops below compute them one sample at a
-time; they are the reference, and every result must match them bitwise
-(compared through ``repr``, which tells -0.0 from 0.0 and numpy scalars
-from Python numbers), whatever the block size.
+The diagnostics of a trajectory and the trajectory checks are computed from
+blocks of rows of its state array.  The loops below compute them one sample
+at a time; they are the reference, and every result must match them bitwise
+(compared through ``repr`` of Python scalars, which tells -0.0 from 0.0, and
+of reports, which also tells numpy scalars from Python numbers), whatever
+the block size.
 """
 
 import dataclasses
@@ -18,13 +19,12 @@ from dyadicflow import analysis
 from dyadicflow.analysis import SQRT2, InvariantReport, run_checks
 from dyadicflow.cli import inject_fault
 from dyadicflow.integrate import (
-    DiagnosticsRecord,
+    Diagnostics,
     Scheme,
     StepControls,
     Termination,
-    Trajectory,
-    TrajectorySample,
     _diagnostics,
+    _trajectory,
     detect_escape,
     integrate,
 )
@@ -32,6 +32,7 @@ from dyadicflow.model import DomainError, DyadicState, ModelParams, _xs_norms
 from dyadicflow.scenarios import gen_bump, gen_front
 
 BLOCK_SIZES = [1, 7, analysis.BLOCK_ROWS, 10**6]
+DIAG_FIELDS = [f.name for f in dataclasses.fields(Diagnostics)]
 
 # ---------------------------------------------------------------------------
 # sample-by-sample references
@@ -58,8 +59,8 @@ def _loop_j_functional(a, delta):
     return math.fsum(terms.tolist())
 
 
-def _loop_diagnostics(state, norm_s, delta):
-    a = state.a
+def _loop_diagnostics(a, norm_s, delta):
+    """The diagnostics of one state, as a tuple of Python scalars in field order."""
     b = _loop_slopes(a)
     mag = np.abs(b)
     kept = mag[1:-1] > 1e-14 * mag.max()
@@ -70,7 +71,7 @@ def _loop_diagnostics(state, norm_s, delta):
         max_ratio = float(ratios[int(ratios.argmax())])
     xs = _loop_xs_norm(a, norm_s)
     karr = np.arange(1, b.size, dtype=float)
-    return DiagnosticsRecord(
+    row = dict(
         xs_norm=xs,
         sup_a=float(np.max(a)),
         a0=float(a[0]),
@@ -79,23 +80,34 @@ def _loop_diagnostics(state, norm_s, delta):
         front_index=int(np.argmax(b[1:])) + 1,
         holder_half=float(np.max(b[1:] * np.exp2(-0.5 * karr))),
     )
+    return tuple(row[f] for f in DIAG_FIELDS)
+
+
+def _diag_rows(diag):
+    """The diagnostics of each sample, as tuples of Python scalars in field order."""
+    return list(zip(*(getattr(diag, f).tolist() for f in DIAG_FIELDS)))
+
+
+def _samples(traj):
+    """``(t, a)`` of each recorded sample, ``t`` a Python float and ``a`` one state row."""
+    return list(zip(traj.times.tolist(), traj.states))
 
 
 def _loop_monotone(traj, tolerance=1e-10):
-    worst, loc = math.inf, (traj.samples[0].t, None)
-    for s in traj.samples:
-        a = s.state.a
+    samples = _samples(traj)
+    worst, loc = math.inf, (samples[0][0], None)
+    for t, a in samples:
         candidates = np.concatenate([[a[0]], np.diff(a)])
         k = int(np.argmin(candidates))
         if float(candidates[k]) < worst:
-            worst, loc = float(candidates[k]), (s.state.t, k)
+            worst, loc = float(candidates[k]), (t, k)
     return InvariantReport.from_margin("monotone_nonneg", worst, loc, tolerance)
 
 
 def _loop_max_principle(traj, tolerance=1e-8):
-    sups = np.array([float(np.max(s.state.a)) for s in traj.samples])
-    a0s = np.array([float(s.state.a[0]) for s in traj.samples])
-    ts = np.array([s.t for s in traj.samples])
+    sups = np.array([float(np.max(a)) for _, a in _samples(traj)])
+    a0s = np.array([float(a[0]) for _, a in _samples(traj)])
+    ts = np.array([t for t, _ in _samples(traj)])
     if traj.params.alpha > 0.0:
         if len(sups) < 2:
             return InvariantReport.from_margin("max_principle", 0.0, (ts[0], None), tolerance)
@@ -123,20 +135,21 @@ def _loop_split_margins(b):
 
 
 def _loop_sqrt2(traj, tolerance=1e-9):
-    b0 = _loop_slopes(traj.samples[0].state.a)
+    samples = _samples(traj)
+    b0 = _loop_slopes(samples[0][1])
     k0 = int(np.argmax(b0[1:])) + 1
-    worst, loc, prev_split = math.inf, (traj.samples[0].t, None), None
-    for s in traj.samples:
-        eligible = _loop_split_margins(_loop_slopes(s.state.a))[k0 - 1 :]
+    worst, loc, prev_split = math.inf, (samples[0][0], None), None
+    for t, a in samples:
+        eligible = _loop_split_margins(_loop_slopes(a))[k0 - 1 :]
         margin = float(np.max(eligible)) if eligible.size else math.inf
         if margin < worst:
-            worst, loc = margin, (s.t, None)
+            worst, loc = margin, (t, None)
         valid = np.nonzero(eligible >= -tolerance)[0]
         split = k0 + int(valid[-1]) if valid.size else None
         if split is not None and prev_split is not None and split < prev_split:
             retreat = float(split - prev_split)
             if retreat < worst:
-                worst, loc = retreat, (s.t, split)
+                worst, loc = retreat, (t, split)
         if split is not None:
             prev_split = split
     return InvariantReport.from_margin("sqrt2_structure", worst, loc, tolerance)
@@ -145,9 +158,10 @@ def _loop_sqrt2(traj, tolerance=1e-9):
 def _loop_ordering(traj, tolerance=1e-9):
     if traj.params.alpha != 0.0:
         raise DomainError("ordering persistence check applies to inviscid runs")
-    worst, loc, prev = math.inf, (traj.samples[0].t, None), None
-    for s in traj.samples:
-        b = _loop_slopes(s.state.a)
+    samples = _samples(traj)
+    worst, loc, prev = math.inf, (samples[0][0], None), None
+    for t, a in samples:
+        b = _loop_slopes(a)
         if prev is not None and b.size >= 3:
             ok_prev = SQRT2 * prev[1:-1] - prev[2:] >= -tolerance
             cur_gap = SQRT2 * b[1:-1] - b[2:]
@@ -167,17 +181,17 @@ def _loop_ordering(traj, tolerance=1e-9):
                     vals = margin[applicable]
                     i = int(np.argmin(vals))
                     if vals[i] < worst:
-                        worst, loc = float(vals[i]), (s.t, int(karr[applicable][i]))
+                        worst, loc = float(vals[i]), (t, int(karr[applicable][i]))
         prev = b
     return InvariantReport.from_margin("ordering_inviscid", worst, loc, tolerance)
 
 
 def _loop_j_series(traj, delta):
-    return [_loop_j_functional(s.state.a, delta) for s in traj.samples]
+    return [_loop_j_functional(a, delta) for _, a in _samples(traj)]
 
 
 def _loop_fit_riccati_constants(traj, delta):
-    t = np.array([s.t for s in traj.samples])
+    t = np.array([t for t, _ in _samples(traj)])
     j = np.array(_loop_j_series(traj, delta))
     if len(t) < 3:
         raise DomainError("need at least 3 samples to fit Riccati constants")
@@ -194,26 +208,27 @@ def _loop_fit_riccati_constants(traj, delta):
     xbar, ybar = xw.mean(), yw.mean()
     sxx = float(np.sum((xw - xbar) ** 2))
     c1 = float(np.sum((xw - xbar) * (yw - ybar)) / sxx) if sxx > 0 else 0.0
-    sup_a = max(float(np.max(np.abs(s.state.a))) for s in traj.samples)
+    sup_a = max(float(np.max(np.abs(a))) for _, a in _samples(traj))
     c2 = max(0.0, float(np.max(c1 * x - fd))) / (1.0 + sup_a)
     return c1, c2
 
 
 def _loop_riccati_identity(traj, tol_per_cadence=1.0):
     delta = traj.delta
+    samples = _samples(traj)
     if traj.params.alpha > 0.0:
         c1, _ = _loop_fit_riccati_constants(traj, delta)
-        loc = (traj.samples[-1].t, None)
+        loc = (samples[-1][0], None)
         return InvariantReport.from_margin("riccati_inequality_dissipative", c1, loc, 0.0)
-    if len(traj.samples) < 3:
+    if len(samples) < 3:
         raise DomainError("need at least 3 samples for the identity check")
-    t = np.array([s.t for s in traj.samples])
-    j = np.array([s.diag.j_value for s in traj.samples])
+    t = np.array([t for t, _ in samples])
+    j = np.array([_loop_j_functional(a, delta) for _, a in samples])
     cadence = float(np.median(np.diff(t)))
     worst, loc = -math.inf, (t[0], None)
     for i in range(1, len(t) - 1):
         fd = (j[i + 1] - j[i - 1]) / (t[i + 1] - t[i - 1])
-        b = _loop_slopes(traj.samples[i].state.a)
+        b = _loop_slopes(samples[i][1])
         karr = np.arange(1, b.size, dtype=float)
         rhs = math.fsum((b[1:] ** 2 * np.exp2((delta - 1.0) * karr)).tolist())
         resid = abs(fd - rhs) / (1.0 + abs(rhs))
@@ -223,9 +238,9 @@ def _loop_riccati_identity(traj, tol_per_cadence=1.0):
 
 
 def _loop_detect_escape(traj, threshold, s):
-    for sample in traj.samples:
-        if _loop_xs_norm(sample.state.a, s) > threshold:
-            return sample.t
+    for t, a in _samples(traj):
+        if _loop_xs_norm(a, s) > threshold:
+            return t
     return None
 
 
@@ -297,12 +312,8 @@ def _from_slopes(slopes, alpha):
     b = np.asarray(slopes, dtype=float)
     a = np.cumsum(b * np.exp2(-np.arange(b.shape[1], dtype=float)), axis=1)
     p = ModelParams(alpha=alpha, trunc_k=b.shape[1] - 1)
-    diags = _diagnostics(a, p.norm_s, 0.5)
-    samples = tuple(
-        TrajectorySample(t=0.1 * i, state=DyadicState(t=0.1 * i, a=row), diag=d)
-        for i, (row, d) in enumerate(zip(a, diags))
-    )
-    return Trajectory(p, 0.5, samples, Termination.REACHED_T_END)
+    times = [0.1 * i for i in range(len(a))]
+    return _trajectory(p, 0.5, times, a, Termination.REACHED_T_END)
 
 
 def _split_retreat():
@@ -340,9 +351,10 @@ def trajectories():
 def _fault_at(traj, i):
     """The first ``i + 1`` samples of ``traj``, the last one pushed out of order."""
     # inject_fault corrupts the middle one of three samples
-    hit = inject_fault(dataclasses.replace(traj, samples=traj.samples[i - 1 : i + 2]),
-                       "sign-flip").samples[1]
-    return dataclasses.replace(traj, samples=traj.samples[:i] + (hit,))
+    three = _trajectory(traj.params, traj.delta, traj.times[i - 1 : i + 2],
+                        traj.states[i - 1 : i + 2], traj.termination)
+    states = np.concatenate([traj.states[:i], inject_fault(three, "sign-flip").states[1:2]])
+    return _trajectory(traj.params, traj.delta, traj.times[: i + 1], states, traj.termination)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +362,12 @@ def _fault_at(traj, i):
 
 class TestTrajectoryShapes:
     def test_cases_cover_what_they_claim(self, trajectories):
-        n = len(trajectories["bump20"].samples)
+        n = len(trajectories["bump20"].times)
         assert n > 2 * analysis.BLOCK_ROWS and n % analysis.BLOCK_ROWS
         assert trajectories["escape_cell"].escape_time is not None
-        assert len(trajectories["single_sample"].samples) == 1
-        assert math.isnan(trajectories["flat"].samples[0].diag.max_ratio)
-        assert trajectories["k2"].samples[0].state.k == 2
+        assert len(trajectories["single_sample"].times) == 1
+        assert math.isnan(trajectories["flat"].diag.max_ratio[0])
+        assert trajectories["k2"].states.shape[1] == 3
         rep = analysis.check_sqrt2_structure(trajectories["split_retreat"])
         assert (rep.worst_margin, rep.worst_location) == (-1.0, (0.4, 5))
 
@@ -364,14 +376,18 @@ class TestRecords:
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_match_sample_loop(self, trajectories, name):
         traj = trajectories[name]
-        for s in traj.samples:
-            assert repr(s.diag) == repr(_loop_diagnostics(s.state, traj.params.norm_s, traj.delta))
+        rows = _diag_rows(traj.diag)
+        assert len(rows) == len(traj.states)
+        for row, a in zip(rows, traj.states):
+            assert repr(row) == repr(_loop_diagnostics(a, traj.params.norm_s, traj.delta))
 
     @pytest.mark.parametrize("kind", ["sign-flip", "sqrt2-ratio"])
     def test_injected_fault_record(self, trajectories, kind):
         traj = trajectories[f"bump20+{kind}"]
-        s = traj.samples[len(traj.samples) // 2]
-        assert repr(s.diag) == repr(_loop_diagnostics(s.state, traj.params.norm_s, traj.delta))
+        i = len(traj.times) // 2
+        assert not np.array_equal(traj.states[i], trajectories["bump20"].states[i])
+        row = _diag_rows(traj.diag)[i]
+        assert repr(row) == repr(_loop_diagnostics(traj.states[i], traj.params.norm_s, traj.delta))
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("name", ["bump20", "escape_cell", "single_sample"])
@@ -380,13 +396,12 @@ class TestRecords:
         again = BUILDERS[name]()
         ref = trajectories[name]
         assert again.termination is ref.termination and again.escape_time == ref.escape_time
-        assert [repr(s.diag) for s in again.samples] == [repr(s.diag) for s in ref.samples]
+        assert repr(_diag_rows(again.diag)) == repr(_diag_rows(ref.diag))
 
     def test_block_of_rows(self, trajectories):
         traj = trajectories["front"]
-        block = np.stack([s.state.a for s in traj.samples])
-        got = _diagnostics(block, traj.params.norm_s, traj.delta)
-        assert [repr(d) for d in got] == [repr(s.diag) for s in traj.samples]
+        got = Diagnostics(*_diagnostics(traj.states, traj.params.norm_s, traj.delta))
+        assert repr(_diag_rows(got)) == repr(_diag_rows(traj.diag))
 
 
 class TestChecks:
@@ -434,7 +449,7 @@ class TestChecks:
         i = 2 * analysis.BLOCK_ROWS
         faulty = _fault_at(traj, i)
         rep = analysis.check_ordering_persistence_inviscid(faulty)
-        assert not rep.passed and rep.worst_location[0] == traj.samples[i].t
+        assert not rep.passed and rep.worst_location[0] == traj.times[i]
         assert repr(rep) == repr(_loop_ordering(faulty))
 
     def test_run_checks_memory(self):
@@ -465,7 +480,7 @@ class TestDetectEscape:
     def test_first_sample_rule(self, trajectories):
         traj = trajectories["escape_cell"]
         with pytest.raises(DomainError):
-            detect_escape(traj, traj.samples[0].diag.xs_norm, 1.5)
+            detect_escape(traj, traj.diag.xs_norm[0], 1.5)
 
 
 class TestLeanXsNorm:

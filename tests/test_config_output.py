@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadicflow.model import ModelParams, Tail
+from dyadicflow.model import DyadicState, ModelParams, Tail
 from dyadicflow.integrate import Scheme, StepControls, Termination, integrate
 from dyadicflow.analysis import InvariantReport, blowup_diagnostics
 from dyadicflow.config import (
@@ -204,12 +204,13 @@ class TestOutputs:
     def test_trajectory_round_trip(self, tmp_path, traj):
         path = write_trajectory_csv(traj, tmp_path / "t.csv")
         rows = read_trajectory_csv(path)
-        assert len(rows) == len(traj.samples)
-        for row, s in zip(rows, traj.samples):
-            assert row["t"] == s.t
-            assert row["xs_norm"] == s.diag.xs_norm
-            assert row["J"] == s.diag.j_value
-            assert row["front_index"] == s.diag.front_index
+        d = traj.diag
+        assert len(rows) == len(traj.times)
+        for i, row in enumerate(rows):
+            assert row["t"] == traj.times[i]
+            assert row["xs_norm"] == d.xs_norm[i]
+            assert row["J"] == d.j_value[i]
+            assert row["front_index"] == d.front_index[i]
             assert row["termination"] == traj.termination.value
 
     def test_trajectory_diagnostics_recompute_from_state(self, tmp_path, traj):
@@ -217,9 +218,11 @@ class TestOutputs:
         from dyadicflow.analysis import j_functional
 
         rows = read_trajectory_csv(write_trajectory_csv(traj, tmp_path / "t.csv"))
-        for row, s in zip(rows, traj.samples):
-            assert abs(row["xs_norm"] - xs_norm(s.state, 1.5)) <= 1e-12
-            assert abs(row["J"] - j_functional(s.state, traj.delta)) <= 1e-12
+        assert len(rows) == len(traj.times)
+        for row, t, a in zip(rows, traj.times, traj.states):
+            s = DyadicState(t=t, a=a)
+            assert abs(row["xs_norm"] - xs_norm(s, 1.5)) <= 1e-12
+            assert abs(row["J"] - j_functional(s, traj.delta)) <= 1e-12
 
     def test_state_dump_round_trip(self, tmp_path, traj):
         from dyadicflow.output import write_state_csv
@@ -276,7 +279,7 @@ class TestOutputs:
             assert not str(p).endswith(".tmp")
         blob = json.loads((tmp_path / "run_blowup.json").read_text())
         assert blob["delta"] == traj.delta
-        assert len(blob["j_series"]) == len(traj.samples)
+        assert len(blob["j_series"]) == len(traj.times)
 
     def test_byte_identical_rewrites(self, tmp_path, traj):
         p1 = write_trajectory_csv(traj, tmp_path / "a.csv")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import warnings
@@ -8,18 +9,19 @@ import pytest
 from dyadicflow.model import (
     DomainError,
     DyadicState,
+    InvalidInputError,
     ModelParams,
     dissipation_matrix,
     xs_norm,
 )
 from dyadicflow.integrate import (
+    Diagnostics,
     EscapeSignal,
     IntegrationAbortError,
     Scheme,
     StepControls,
     StepUnderflowError,
     Termination,
-    Trajectory,
     detect_escape,
     integrate,
     linear_semigroup,
@@ -145,8 +147,7 @@ class TestIntegrate:
         s = constant_state(4)
         traj = integrate(p, s, 0.0, StepControls())
         assert traj.termination is Termination.REACHED_T_END
-        assert len(traj.samples) == 1
-        assert traj.samples[0].t == 0.0
+        assert traj.times.tolist() == [0.0]
 
     def test_riccati_to_t1(self):
         p = ModelParams(alpha=0.0, trunc_k=2)
@@ -160,7 +161,7 @@ class TestIntegrate:
         p = ModelParams(alpha=0.0, trunc_k=10)
         c = StepControls(record_every=0.1)
         traj = integrate(p, gen_bump(10), 1.0, c)
-        assert all(s.state.a[0] == 0.0 for s in traj.samples)
+        assert np.all(traj.states[:, 0] == 0.0)
 
     def test_sample_times_and_cadence(self):
         p = ModelParams(alpha=0.3, trunc_k=6)
@@ -176,9 +177,8 @@ class TestIntegrate:
         c = StepControls(scheme=scheme, record_every=0.05, dt_init=1e-3)
         t1 = integrate(p, gen_front(8, 3, 1.2, 0.5), 0.4, c)
         t2 = integrate(p, gen_front(8, 3, 1.2, 0.5), 0.4, c)
-        assert len(t1.samples) == len(t2.samples)
-        for s1, s2 in zip(t1.samples, t2.samples):
-            assert np.array_equal(s1.state.a, s2.state.a)
+        assert np.array_equal(t1.times, t2.times)
+        assert np.array_equal(t1.states, t2.states)
 
     def test_scheme_agreement_smooth_regime(self):
         # adaptive explicit vs the fixed-step reference on a dissipative run
@@ -234,7 +234,7 @@ class TestIntegrate:
         traj = integrate(p, gen_bump(12), 3.0, c, escape_threshold=500.0)
         assert traj.termination is Termination.ESCAPE_DETECTED
         assert traj.escape_time is not None
-        assert traj.samples[-1].diag.xs_norm > 500.0
+        assert traj.diag.xs_norm[-1] > 500.0
 
     def test_step_underflow_termination(self):
         # dt_min close to dt_init leaves the controller no room on a stiff
@@ -330,17 +330,21 @@ class TestIntegrate:
 
         p = ModelParams(alpha=0.3, trunc_k=8, norm_s=1.5)
         traj = integrate(p, gen_front(8, 3, 1.25, 0.5), 0.3, StepControls(record_every=0.05))
-        for s in traj.samples:
-            again = _diagnostics(s.state.a[None, :], p.norm_s, traj.delta)
-            assert again == [s.diag]
+        columns = [f.name for f in dataclasses.fields(Diagnostics)]
+        for i, a in enumerate(traj.states):
+            again = _diagnostics(a[None, :], p.norm_s, traj.delta)
+            assert repr([c.tolist() for c in again]) == repr(
+                [getattr(traj.diag, f)[i : i + 1].tolist() for f in columns]
+            )
         # one slope pass gives what the public functionals give, bitwise;
         # the flat state has no slope ratio
-        for state in [s.state for s in traj.samples] + [constant_state(8)]:
-            (d,) = _diagnostics(state.a[None, :], p.norm_s, traj.delta)
+        states = [DyadicState(t=t, a=a) for t, a in zip(traj.times, traj.states)]
+        for state in states + [constant_state(8)]:
+            d = Diagnostics(*_diagnostics(state.a[None, :], p.norm_s, traj.delta))
             ratio = slope_ratio_report(state).max_ratio
-            assert d.max_ratio == ratio if ratio is not None else math.isnan(d.max_ratio)
-            assert d.front_index == front_index(state)
-            assert d.holder_half == holder_seminorm(state, 0.5)
+            assert d.max_ratio[0] == ratio if ratio is not None else math.isnan(d.max_ratio[0])
+            assert d.front_index[0] == front_index(state)
+            assert d.holder_half[0] == holder_seminorm(state, 0.5)
 
 
 class _StackDormandPrince(integrate_module._DormandPrince):
@@ -394,10 +398,12 @@ class TestDormandPrince:
         ref = integrate(p, s0, t_end, c, **kw)
         assert lean.termination is ref.termination
         assert lean.escape_time == ref.escape_time
-        assert [s.t for s in lean.samples] == [s.t for s in ref.samples]
-        for s1, s2 in zip(lean.samples, ref.samples):
-            assert np.array_equal(s1.state.a, s2.state.a)
-            assert s1.diag == s2.diag
+        assert lean.times.tolist() == ref.times.tolist()
+        assert np.array_equal(lean.states, ref.states)
+        for f in dataclasses.fields(Diagnostics):
+            assert repr(getattr(lean.diag, f.name).tolist()) == repr(
+                getattr(ref.diag, f.name).tolist()
+            )
 
     def test_six_rhs_per_attempt(self, monkeypatch):
         rhs_calls, attempts, rejected = [], [], []
@@ -546,9 +552,8 @@ class TestEdgeInputs:
                 rel_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=0.01))
             traj = integrate(p, s0, 0.05, StepControls(scheme=scheme, record_every=0.01))
         assert traj.termination is ref.termination is Termination.REACHED_T_END
-        assert [x.t for x in traj.samples] == [x.t for x in ref.samples]
-        a = np.array([x.state.a for x in traj.samples])
-        a_ref = np.array([x.state.a for x in ref.samples])
+        assert traj.times.tolist() == ref.times.tolist()
+        a, a_ref = traj.states, ref.states
         assert np.max(np.abs(a - a_ref)) <= 1e-8 * np.max(np.abs(a_ref))
 
     @pytest.mark.parametrize("trunc_k", [2, 12, 20])
@@ -563,10 +568,74 @@ class TestEdgeInputs:
                 rel_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE))
             traj = integrate(p, s0, 0.3, StepControls(scheme=Scheme.DUHAMEL_IMEX))
         assert traj.termination is ref.termination is Termination.REACHED_T_END
-        assert [x.t for x in traj.samples] == [x.t for x in ref.samples]
-        a = np.array([x.state.a for x in traj.samples])
-        a_ref = np.array([x.state.a for x in ref.samples])
+        assert traj.times.tolist() == ref.times.tolist()
+        a, a_ref = traj.states, ref.states
         assert np.max(np.abs(a - a_ref)) <= 1e-8 * np.max(np.abs(a_ref))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_cadence_longer_than_run(self, scheme):
+        # record_every 1.0 past t_end 0.3: the run records t0 and t_end only
+        p = ModelParams(alpha=0.3, trunc_k=10)
+        s0 = gen_front(10, 4, 1.2, 0.5)
+        dt_init = 1e-4 if scheme is Scheme.REFERENCE_FIXED_RK4 else 1e-3
+        traj = integrate(p, s0, 0.3, StepControls(scheme=scheme, record_every=1.0,
+                                                  dt_init=dt_init))
+        ref = integrate(p, s0, 0.3, StepControls(
+            rel_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=1.0))
+        assert traj.times.tolist() == ref.times.tolist() == [0.0, 0.3]
+        assert traj.termination is Termination.REACHED_T_END
+        a, a_ref = traj.final_state.a, ref.final_state.a
+        assert np.max(np.abs(a - a_ref)) <= 1e-8 * np.max(np.abs(a_ref))
+
+
+class TestTrajectory:
+    """The array layout of a run and what its constructor checks."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        p = ModelParams(alpha=0.3, trunc_k=6)
+        return integrate(p, gen_geometric(6, 0.5), 0.3, StepControls(record_every=0.1))
+
+    def test_layout(self, traj):
+        assert traj.times.shape == (4,) and traj.states.shape == (4, 7)
+        for f in dataclasses.fields(Diagnostics):
+            assert getattr(traj.diag, f.name).shape == (4,)
+        assert traj.final_state.t == 0.3
+        assert np.array_equal(traj.final_state.a, traj.states[-1])
+        assert traj.max_xs_norm() == max(traj.diag.xs_norm.tolist())
+
+    def test_read_only(self, traj):
+        for arr in (traj.times, traj.states, traj.diag.xs_norm, traj.diag.front_index):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_holds_copies(self, traj):
+        times, states = traj.times.copy(), traj.states.copy()
+        again = dataclasses.replace(traj, times=times, states=states)
+        states[1, 1] = -5.0
+        assert again.states[1, 1] == traj.states[1, 1]
+
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.1, 0.3], [0.0, 0.2, 0.1, 0.3]])
+    def test_times_must_increase_strictly(self, traj, times):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            dataclasses.replace(traj, times=times)
+
+    def test_state_width_must_match_params(self, traj):
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(traj, states=traj.states[:, :-1])
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(traj, times=traj.times[:-1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_entries_must_be_finite(self, traj, bad):
+        states = traj.states.copy()
+        states[2, 3] = bad
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(traj, states=states)
+        times = traj.times.copy()
+        times[-1] = bad
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(traj, times=times)
 
 
 class TestDetectEscape:
@@ -581,7 +650,7 @@ class TestDetectEscape:
         traj = integrate(p, gen_bump(12), 2.5, c, escape_threshold=1e30)
         t_esc = detect_escape(traj, threshold=1000.0, s=1.5)
         assert t_esc is not None
-        norms = {s.t: s.diag.xs_norm for s in traj.samples}
+        norms = dict(zip(traj.times.tolist(), traj.diag.xs_norm.tolist()))
         assert norms[t_esc] > 1000.0
         before = [t for t in norms if t < t_esc]
         assert all(norms[t] <= 1000.0 for t in before)

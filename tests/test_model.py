@@ -247,6 +247,20 @@ class TestNormsAndSlopes:
             expect[nz] = d[nz - 1] * _xs_weights(a.size, 1.5)[nz - 1]
         np.testing.assert_array_equal(bs, expect)
 
+    def test_slopes_beyond_k1024(self):
+        # 2**k is inf from k = 1024; the bump is flat there, and 0 * inf
+        # must not turn into a NaN (nor warn: the suite makes that an error)
+        a = gen_bump(1100).a
+        b = slopes(state(a))
+        d = np.diff(a)
+        assert np.isfinite(b).all()
+        assert b[0] == 0.0 and np.all(b[1:][d == 0.0] == 0.0)
+        np.testing.assert_array_equal(b[1:1024], d[:1023] * np.exp2(np.arange(1.0, 1024.0)))
+
+    def test_slopes_keep_signed_zeros(self):
+        a = np.array([0.0, -0.0, 0.5, 0.5, 0.75])
+        assert [math.copysign(1.0, x) for x in slopes(state(a))] == [1.0, -1.0, 1.0, 1.0, 1.0]
+
 
 class TestConstants:
     def test_cs_values(self):
