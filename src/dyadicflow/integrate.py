@@ -618,7 +618,7 @@ def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> Dyad
     K = 32: at alpha = 0.35, front (4, 1.2, 0.5, 1) and t = 1e-3 the X^s
     norm reads 9.54 for K <= 32 but 513 at K = 40 and 3.7e13 at K = 64
     (initially 9.64), where monotonicity also breaks by -2.4e-7.  ROADMAP
-    item 3 has the entrywise-accurate remedy.
+    item 1 has the entrywise-accurate remedy.
     """
     if params.alpha <= 0.0:
         raise DomainError("the semigroup requires alpha > 0")

@@ -14,6 +14,13 @@ Sequences are truncated at ``K``; the infinite upper tail is handled by a
 convention: ``plateau`` extends with ``a_n = a_K`` (the tail sum then has a
 closed form and the telescoped-sum identity stays exact), ``zero`` drops it.
 
+In the increments ``d_j = a_j - a_{j-1}`` the plateau operator has the
+closed form ``(L a)_k = sum_{j<=k} P_j d_j - w_k S_k`` with
+``w_k = 2**(2*alpha*k)``, ``P_k = sum_{n<k} w_n`` and
+``S_k = sum_{j>k} 2**(k-j+1) d_j``.  The O(K) evaluation and the dense
+matrix both take ``w`` and ``P`` from one helper; the direct double sum is
+the reference.
+
 Everything in this module is a pure function of immutable values.
 """
 
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 class InvalidInputError(ValueError):
@@ -183,50 +191,33 @@ def _check_state(params: ModelParams, state: DyadicState) -> np.ndarray:
 def dissipation(params: ModelParams, state: DyadicState) -> np.ndarray:
     """Evaluate the dissipation operator ``(L a)_k`` for ``k = 0..K`` in O(K).
 
-    Uses two numerically balanced recurrences (a forward damped prefix for
-    the lower sum, a backward halving suffix for the upper sum) so no
-    intermediate quantity over- or under-flows before the result does.
-    Under the plateau tail the infinite part of the upper sum contributes
-    the closed form ``(a_k - a_K) * 2**(2*alpha*k) * 2**(k-K)``.
+    Uses the closed form in the increments (module docstring): one
+    cumulative sum of ``P_j d_j``, and ``S`` from the bidiagonal system
+    ``S_k - S_{k+1}/2 = d_{k+1}``, ``S_K = 0``.  On monotone data all terms
+    are non-negative, so only the last subtraction can cancel; constant
+    states give exact zeros.  The zero tail adds ``w_k 2**(k-K) (a_K - a_k)``.
     """
     a = _check_state(params, state)
     return _dissipation_array(a, params.alpha, params.tail)
 
 
+def _operator_weights(size: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Operator coefficients ``w_k = 2**(2*alpha*k)`` and ``P_k = sum_{n<k} w_n``, k < size."""
+    w = np.concatenate([[1.0], _xs_weights(size, 2.0 * alpha)])
+    return w, np.concatenate([[0.0], np.cumsum(w[:-1])])
+
+
 def _dissipation_array(a: np.ndarray, alpha: float, tail: Tail) -> np.ndarray:
     kmax = a.size - 1
-    ta = 2.0 * alpha
-    karr = np.arange(kmax + 1, dtype=float)
+    w, p = _operator_weights(a.size, alpha)
     d = np.diff(a)
-
-    # Lower sum: W_k = sum_{n<k} (a_k - a_n) 2**(2a(n-k)), L_k = W_k * 2**(2ak).
-    r = 2.0**-ta
-    if r == 1.0:
-        geo = karr + 1.0                      # sum_{j<=k} r**j at alpha = 0
-    else:
-        geo = (1.0 - r ** (karr + 1.0)) / (1.0 - r)
-    w = np.empty(kmax + 1)
-    w[0] = 0.0
-    for k in range(kmax):
-        w[k + 1] = r * (w[k] + d[k] * geo[k])
-    lower = w * np.exp2(ta * karr)
-
-    # Upper sum: D_k = sum_{n>k} (a_k - a_n) 2**(k-n) via a halving backward
-    # recurrence on increments, so constant states give exact zeros and the
-    # whole evaluation is shift-invariant by construction.
-    dd = np.empty(kmax + 1)
-    dd[kmax] = 0.0
-    for k in range(kmax - 1, -1, -1):
-        dd[k] = 0.5 * dd[k + 1] - d[k] * (1.0 - np.exp2(float(k - kmax)))
-    w_up = np.exp2(ta * karr)
-    if tail is Tail.PLATEAU:
-        # suffix increment sums give a_K - a_k for the closed-form tail
-        e = np.zeros(kmax + 1)
-        e[:kmax] = np.cumsum(d[::-1])[::-1]
-        upper = w_up * (dd - e * np.exp2(karr - kmax))
-    else:
-        upper = w_up * dd
-    return lower + upper
+    out = np.zeros(a.size)
+    np.cumsum(p[1:] * d, out=out[1:])
+    band = np.array([np.full(kmax, -0.5), np.ones(kmax)])
+    out[:-1] -= w[:-1] * solve_banded((0, 1), band, d, check_finite=False)
+    if tail is Tail.ZERO:
+        out += np.ldexp(w, np.arange(-kmax, 1)) * (a[-1] - a)
+    return out
 
 
 def dissipation_direct(params: ModelParams, state: DyadicState) -> np.ndarray:
@@ -259,7 +250,11 @@ def rhs_inviscid(state: DyadicState) -> np.ndarray:
 def _rhs_inviscid_array(a: np.ndarray) -> np.ndarray:
     out = np.empty(a.size)
     out[0] = 0.0
-    out[1:] = -(a[1:] - a[:-1]) ** 2 * _xs_weights(a.size, 1.0)
+    if a.size <= 1024:
+        out[1:] = -(a[1:] - a[:-1]) ** 2 * _xs_weights(a.size, 1.0)
+    else:  # 2**k is inf from k = 1024: where d**2 == 0 keep -0.0, not 0 * inf
+        np.negative((a[1:] - a[:-1]) ** 2, out=out[1:])
+        np.multiply(out[1:], _xs_weights(a.size, 1.0), out=out[1:], where=out[1:] != 0.0)
     return out
 
 
@@ -280,7 +275,8 @@ def _xs_weights(size: int, s: float) -> np.ndarray:
     """Read-only ``2**(s*k)`` for k = 1 .. size - 1; inf where it overflows.
 
     The one weight table of the model: the transport scale (``s = 1``), the
-    X^s norm and every ``2**(c*k)`` weight of the analysis layer.
+    X^s norm, the operator weights ``2**(2*alpha*k)`` and every ``2**(c*k)``
+    weight of the analysis layer.
     """
     with np.errstate(over="ignore"):
         w = np.exp2(s * np.arange(1, size, dtype=float))
@@ -384,23 +380,18 @@ def dissipation_matrix(params: ModelParams) -> np.ndarray:
     are in the kernel), so ``-M`` generates a Markov semigroup.
     """
     kmax = params.trunc_k
-    n = kmax + 1
-    ta = 2.0 * params.alpha
-    karr = np.arange(n, dtype=float)
-    m = np.zeros((n, n))
-    w_low = np.exp2(ta * karr)
-
-    for k in range(n):
-        # lower sum: +P_k on the diagonal, -2**(2a n) on columns n < k
-        m[k, :k] -= w_low[:k]
-        m[k, k] += np.sum(w_low[:k])
-        # upper sum over n = k+1..K with weight 2**(2ak + k - n)
-        up = np.exp2(ta * k + k - karr[k + 1 :])
-        m[k, k + 1 :] -= up
-        m[k, k] += np.sum(up)
-        if params.tail is Tail.PLATEAU:
-            t = np.exp2(ta * k + k - kmax)
-            m[k, kmax] -= t
-            m[k, k] += t
+    w, p = _operator_weights(kmax + 1, params.alpha)
+    karr = np.arange(kmax + 1)
+    gap = karr[:, None] - karr
+    # -w_n left of the diagonal, -w_k 2**(k-n) right of it: an exact
+    # power-of-two scaling whose exponent is capped at 0 so nothing overflows
+    m = -np.where(gap > 0, w, np.ldexp(w[:, None], np.minimum(gap, 0)))
+    tail = np.ldexp(w, karr - kmax)
+    if params.tail is Tail.PLATEAU:
+        m[:-1, -1] -= tail[:-1]
+        diag = p + w
+        diag[-1] = p[-1]
+    else:
+        diag = p + (w - tail)
+    np.fill_diagonal(m, diag)
     return m
-

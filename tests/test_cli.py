@@ -216,17 +216,29 @@ class TestSemigroup:
         assert max(norms) - min(norms) <= 1e-12
 
 
+def run_child(*args):
+    """Run a fresh interpreter that imports the same package as this process."""
+    src = os.path.dirname(os.path.dirname(dyadicflow.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path, _ = write_cfg(tmp_path)
-        # the child must import the same package as this process, installed or not
-        src = os.path.dirname(os.path.dirname(dyadicflow.__file__))
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dyadicflow", "simulate", "--config", str(path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        proc = run_child("-m", "dyadicflow", "simulate", "--config", str(path))
         assert proc.returncode == 0
         assert proc.stdout.count("\n") == 1
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal alone takes longer to import than the whole package
+        proc = run_child(
+            "-c", "import sys, dyadicflow.cli; print('scipy.signal' in sys.modules)"
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"

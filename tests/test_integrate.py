@@ -572,6 +572,14 @@ class TestEdgeInputs:
         a, a_ref = traj.states, ref.states
         assert np.max(np.abs(a - a_ref)) <= 1e-8 * np.max(np.abs(a_ref))
 
+    def test_inviscid_run_beyond_k1024(self):
+        # the transport weights overflow from k = 1024; the flat top of the
+        # bump must not read as an escape at t = 0
+        p = ModelParams(alpha=0.0, trunc_k=1100)
+        traj = integrate(p, gen_bump(1100), 0.02, StepControls())
+        assert traj.termination is Termination.REACHED_T_END
+        assert traj.times[-1] == 0.02 and traj.escape_time is None
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_cadence_longer_than_run(self, scheme):
         # record_every 1.0 past t_end 0.3: the run records t0 and t_end only
