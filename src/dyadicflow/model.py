@@ -250,12 +250,18 @@ def rhs_inviscid(state: DyadicState) -> np.ndarray:
 def _rhs_inviscid_array(a: np.ndarray) -> np.ndarray:
     out = np.empty(a.size)
     out[0] = 0.0
-    if a.size <= 1024:
-        out[1:] = -(a[1:] - a[:-1]) ** 2 * _xs_weights(a.size, 1.0)
-    else:  # 2**k is inf from k = 1024: where d**2 == 0 keep -0.0, not 0 * inf
-        np.negative((a[1:] - a[:-1]) ** 2, out=out[1:])
-        np.multiply(out[1:], _xs_weights(a.size, 1.0), out=out[1:], where=out[1:] != 0.0)
+    # -d**2 * 2**k as an exact scaling by 2**k: a zero d stays -0.0 also where
+    # 2**k is not a finite double (k >= 1024), instead of 0 * inf = NaN
+    np.ldexp(-(a[1:] - a[:-1]) ** 2, _transport_exponents(a.size), out=out[1:])
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _transport_exponents(size: int) -> np.ndarray:
+    """Read-only exponents k = 1 .. size - 1 of the transport scale ``2**k``."""
+    k = np.arange(1, size)
+    k.flags.writeable = False
+    return k
 
 
 def rhs_full(params: ModelParams, state: DyadicState) -> np.ndarray:
@@ -274,7 +280,7 @@ def rhs_full(params: ModelParams, state: DyadicState) -> np.ndarray:
 def _xs_weights(size: int, s: float) -> np.ndarray:
     """Read-only ``2**(s*k)`` for k = 1 .. size - 1; inf where it overflows.
 
-    The one weight table of the model: the transport scale (``s = 1``), the
+    The one weight table of the model: the slope scale (``s = 1``), the
     X^s norm, the operator weights ``2**(2*alpha*k)`` and every ``2**(c*k)``
     weight of the analysis layer.
     """
@@ -382,10 +388,10 @@ def dissipation_matrix(params: ModelParams) -> np.ndarray:
     kmax = params.trunc_k
     w, p = _operator_weights(kmax + 1, params.alpha)
     karr = np.arange(kmax + 1)
-    gap = karr[:, None] - karr
-    # -w_n left of the diagonal, -w_k 2**(k-n) right of it: an exact
-    # power-of-two scaling whose exponent is capped at 0 so nothing overflows
-    m = -np.where(gap > 0, w, np.ldexp(w[:, None], np.minimum(gap, 0)))
+    # -w_k 2**(k-n) right of the diagonal, an exact power-of-two scaling whose
+    # exponent is capped at 0 so nothing overflows; then -w_n left of it
+    m = np.ldexp(-w[:, None], np.minimum(karr[:, None] - karr, 0))
+    np.copyto(m, -w, where=np.tri(kmax + 1, k=-1, dtype=bool))
     tail = np.ldexp(w, karr - kmax)
     if params.tail is Tail.PLATEAU:
         m[:-1, -1] -= tail[:-1]
