@@ -6,7 +6,11 @@ Three schemes are provided:
   control; the right choice for inviscid runs and mildly stiff cases.  Its
   stages share one buffer per run, and the last stage of an attempt serves
   as the first of the next one (first same as last), so an attempt costs
-  six right-hand sides, a rejected one too.
+  six right-hand sides, a rejected one too.  Its steps run towards
+  ``t_end`` whatever the record cadence: the records inside a step are
+  read off the order-4 continuous extension of the pair (dense output,
+  from the same seven stages), and a record on the step end takes the
+  stepped state.
 * ``DUHAMEL_IMEX`` -- fourth-order exponential integrator (Cox-Matthews
   ETDRK4 in phi-form, with an embedded ETD2RK error estimate): the linear
   dissipative flow enters through the exact matrix exponential and its
@@ -22,19 +26,23 @@ Three schemes are provided:
 
 The default for dissipative runs is the IMEX scheme.  :func:`step` and
 :func:`integrate` share one step-size controller, :func:`_attempt`; it
-snaps the proposals of a stepper whose ``ladder`` attribute is set.
+snaps the proposals of a stepper whose ``ladder`` attribute is set.  The
+two schemes without a continuous extension, IMEX and RK4, land a step on
+every record time.
 
 A run is stored as arrays: :class:`Trajectory` holds the sample times
 ``(n,)``, the states ``(n, K+1)`` and their :class:`Diagnostics`, one
-``(n,)`` column per scalar.  At each recorded sample :func:`integrate` only
-keeps ``t`` and the state and runs the monotone guard and the escape test;
-after the run :func:`_trajectory` stacks the states once and fills the
-diagnostics by :func:`_diagnostics`, one block of ``analysis.BLOCK_ROWS``
-rows per call, with results equal to a per-sample computation bitwise.
+``(n,)`` column per scalar.  After each accepted step :func:`integrate`
+keeps the records that fall inside it and runs the monotone guard and the
+escape test on them as one block (:func:`_first_escape`); after the run
+:func:`_trajectory` stacks the states once and fills the diagnostics by
+:func:`_diagnostics`, one block of ``analysis.BLOCK_ROWS`` rows per call,
+with results equal to a per-sample computation bitwise.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -92,7 +100,12 @@ class IntegrationAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControls:
-    """Error tolerances, step bounds and output cadence for a run."""
+    """Error tolerances, step bounds and output cadence for a run.
+
+    ``max_steps`` bounds the step attempts of a run, rejected ones included.
+    Dormand-Prince steps do not stop at record times, so for that scheme the
+    count does not grow with the number of records.
+    """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-11
@@ -198,6 +211,13 @@ _DP_A = [
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# the order-4 continuous extension: the weights d of Hairer's dopri5 (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.6; Shampine 1986, Math. Comp. 46)
+_DP_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+])
 
 
 class _DormandPrince:
@@ -213,11 +233,13 @@ class _DormandPrince:
     err_exponent = 1.0 / 5.0
     adaptive = True
     ladder = False
+    interpolates = True
 
     def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray], n: int):
         self.rhs = rhs
         self._ks = np.empty((7, n))  # one row per stage
         self._y = self._y_new = None  # start and result of the last attempt
+        self._dt = None
 
     def attempt(self, t, y, dt):
         ks = self._ks
@@ -230,8 +252,24 @@ class _DormandPrince:
             ks[i] = self.rhs(t + _DP_C[i] * dt, yi)
         err = dt * (_DP_E @ ks)
         yi.flags.writeable = False
-        self._y, self._y_new = y, yi
+        self._y, self._y_new, self._dt = y, yi, dt
         return yi, err
+
+    def interpolate(self, theta: np.ndarray) -> np.ndarray:
+        """States at ``t + theta * dt`` of the last attempt, one row per ``theta``.
+
+        The order-4 continuous extension in dopri5's form
+        ``y + th (dy + th1 (r3 + th (r4 + th1 r5)))`` with ``th1 = 1 - th``;
+        it needs no right-hand side beyond the attempt's seven stages.
+        """
+        ks, y, dt = self._ks, self._y, self._dt
+        dy = self._y_new - y
+        r3 = dt * ks[0] - dy
+        r4 = dy - dt * ks[6] - r3
+        r5 = dt * (_DP_D @ ks)
+        th = theta[:, None]
+        th1 = 1.0 - th
+        return y + th * (dy + th1 * (r3 + th * (r4 + th1 * r5)))
 
 
 def _phi_blocks(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -265,6 +303,7 @@ class _Etdrk4:
     err_exponent = 1.0 / 3.0
     adaptive = True
     ladder = True  # step sizes record_every * 2**-j, so each table is built once
+    interpolates = False
     _cache_limit = 256
 
     def __init__(self, m: np.ndarray, nonlinear: Callable[[np.ndarray], np.ndarray]):
@@ -310,6 +349,7 @@ class _Rk4Kahan:
 
     adaptive = False
     ladder = False
+    interpolates = False
 
     def __init__(self, rhs):
         self.rhs = rhs
@@ -385,12 +425,39 @@ def _diagnostics(a: np.ndarray, norm_s: float, delta: float) -> tuple[np.ndarray
 
 
 def _trajectory(params, delta, times, states, termination, escape_time=None) -> Trajectory:
-    """Stack the recorded times and states and fill their diagnostics, one block at a time."""
-    states = np.stack(states)
+    """Stack the recorded times and states and fill their diagnostics, one block at a time.
+
+    ``states`` is an ``(n, K+1)`` array or a sequence of states or of blocks of them.
+    """
+    states = np.vstack(states)
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = [_diagnostics(a, params.norm_s, delta) for _, a in analysis._row_blocks(states)]
     diag = Diagnostics(*map(np.concatenate, zip(*blocks)))
     return Trajectory(params, delta, times, states, diag, termination, escape_time)
+
+
+def _first_escape(ts, ys, norm_s, threshold, abort_tol) -> Optional[int]:
+    """The row of the first record of a block whose X^s norm exceeds ``threshold``.
+
+    ``ys`` holds the states of the records at times ``ts``, one row each.
+    Unless ``abort_tol`` is None, a row whose monotonicity undershoot exceeds
+    it raises :class:`IntegrationAbortError` instead, when no earlier row
+    escapes; within a row the guard comes first.  The outcome is that of
+    testing the rows one at a time, in order.  Returns None when no row
+    trips either test.
+    """
+    d = ys[:, 1:] - ys[:, :-1]
+    trips = _xs_norms(ys, d, norm_s) > threshold
+    if abort_tol is not None:
+        worst = np.minimum(ys[:, 0], d.min(axis=1))
+        trips |= worst < -abort_tol
+    if not trips.any():
+        return None
+    r = int(trips.argmax())
+    if abort_tol is not None and worst[r] < -abort_tol:
+        idx = int(np.argmin(np.concatenate([ys[r, :1], d[r]])))
+        raise IntegrationAbortError(ts[r], idx, float(worst[r]))
+    return r
 
 
 def _record_times(t0: float, t_end: float, every: float) -> tuple[list[float], bool]:
@@ -504,8 +571,15 @@ def integrate(
     ``monotone_abort_tol`` aborts the run: the model preserves admissibility,
     so a violation means integrator error, not dynamics.  The default abort
     tolerance scales with the step-error tolerances, marking only gross
-    violations; pass an explicit value for tighter runs.  The diagnostics
-    are computed after the run, in blocks of samples.
+    violations; pass an explicit value for tighter runs.  The guard and the
+    escape test run once per accepted step, on the records it holds; the
+    diagnostics are computed after the run, in blocks of samples.
+
+    Dormand-Prince steps run towards ``t_end``, and the records inside a
+    step come from its order-4 continuous extension, so they carry the
+    error the tolerances ask for; IMEX and RK4 land a step on every record.
+    ``controls.max_steps`` counts attempts, which for Dormand-Prince no
+    longer grow with the number of records.
     """
     a0 = _check_state(params, state0)
     t0 = state0.t
@@ -529,73 +603,75 @@ def integrate(
         a0.size < 2 or float(np.min(np.diff(a0))) >= -1e-12
     )
 
-    stepper, scheme = _make_stepper(params, controls)
+    stepper, _ = _make_stepper(params, controls)
+    abort_tol = monotone_abort_tol if guard else None
     times: list[float] = []
-    states: list[np.ndarray] = []  # steps return new arrays, so none is written later
+    blocks: list[np.ndarray] = []  # (rows, K+1) states; none is written later
     termination: Optional[Termination] = None
     escape_time: Optional[float] = None
 
-    def snapshot(t, y) -> bool:
-        """Record a state; True when the run should stop (escape/guard).
-
-        Only the guard and the escape test run here; the diagnostics are
-        computed after the run, in blocks.
-        """
+    def keep(ts, ys) -> bool:
+        """Keep a block of records; True when one escapes, which ends the block there."""
         nonlocal termination, escape_time
-        times.append(t)
-        states.append(y)
-        d = y[1:] - y[:-1]  # np.diff, without its call overhead
-        if guard:
-            worst = min(float(y[0]), float(d.min()))
-            if worst < -monotone_abort_tol:
-                idx = int(np.argmin(np.concatenate([[y[0]], d])))
-                raise IntegrationAbortError(t, idx, worst)
-        if _xs_norms(y, d, params.norm_s) > threshold:
-            termination = Termination.ESCAPE_DETECTED
-            escape_time = t
-            return True
-        return False
+        row = _first_escape(ts, ys, params.norm_s, threshold, abort_tol)
+        if row is not None:
+            ts, ys = ts[: row + 1], ys[: row + 1]
+            termination, escape_time = Termination.ESCAPE_DETECTED, ts[-1]
+        times.extend(ts)
+        blocks.append(ys)
+        return row is not None
 
-    if snapshot(t0, a0):
-        return _trajectory(params, delta, times, states, termination, escape_time)
+    if keep([t0], a0[None]):
+        return _trajectory(params, delta, times, blocks, termination, escape_time)
     if t_end == t0:
-        return _trajectory(params, delta, times, states, Termination.REACHED_T_END)
+        return _trajectory(params, delta, times, blocks, Termination.REACHED_T_END)
 
     rec, _ = _record_times(t0, t_end, controls.record_every)
     y = a0.copy()
     t = t0
     dt = min(controls.dt_init, controls.record_every)
-    attempts = 0
+    attempts = i = 0  # i: the next record
 
     # overflow inside an attempt is caught by the isfinite checks of _attempt
     with np.errstate(over="ignore", invalid="ignore"):
-        for target in rec:
-            while t < target:
-                attempts += 1
-                if attempts > controls.max_steps:
-                    termination = Termination.MAX_STEPS_EXCEEDED
-                    break
-                remaining = target - t
-                # rounding drifts t off the ladder: land rather than leave a sliver
-                lands = dt >= remaining or (stepper.ladder and remaining - dt < controls.dt_min)
-                h = remaining if lands else dt
-                try:
-                    y_new, _, prop = _attempt(stepper, t, y, h, controls)
-                except EscapeSignal:
-                    termination, escape_time = Termination.ESCAPE_DETECTED, t
-                    break
-                except StepUnderflowError:
-                    termination = Termination.STEP_UNDERFLOW
-                    break
-                if y_new is None:
-                    dt = prop
-                    continue
-                dt = prop if (not lands or prop > dt) else dt
-                y = y_new
-                t = target if lands else t + h
-            if termination is not None:
+        while i < len(rec):
+            # a stepper with a continuous extension steps freely to t_end
+            target = t_end if stepper.interpolates else rec[i]
+            attempts += 1
+            if attempts > controls.max_steps:
+                termination = Termination.MAX_STEPS_EXCEEDED
                 break
-            if snapshot(t, y):
+            remaining = target - t
+            # rounding drifts t off the ladder: land rather than leave a sliver
+            lands = dt >= remaining or (stepper.ladder and remaining - dt < controls.dt_min)
+            h = remaining if lands else dt
+            try:
+                y_new, _, prop = _attempt(stepper, t, y, h, controls)
+            except EscapeSignal:
+                termination, escape_time = Termination.ESCAPE_DETECTED, t
+                break
+            except StepUnderflowError:
+                termination = Termination.STEP_UNDERFLOW
+                break
+            if y_new is None:
+                dt = prop
+                continue
+            dt = prop if (not lands or prop > dt) else dt
+            t_start, t = t, (target if lands else t + h)
+            y = y_new
+            if rec[i] > t:
+                continue
+            # the records in (t_start, t]: the one on the step end is the stepped state
+            j = bisect.bisect_right(rec, t, i)
+            if stepper.interpolates:
+                ts = rec[i:j]
+                ys = stepper.interpolate((np.array(ts) - t_start) / h)
+                if ts[-1] == t:
+                    ys[-1] = y
+            else:
+                ts, ys = [t], y[None]  # a landing step ends on its record
+            i = j
+            if keep(ts, ys):
                 break
 
     if termination is None:
@@ -604,9 +680,9 @@ def integrate(
         # partial run: keep the last reached point for post-mortem inspection;
         # a state past the threshold reports the escape, whatever stopped the run
         if np.all(np.isfinite(y)):
-            snapshot(t, y)
+            keep([t], y[None])
 
-    return _trajectory(params, delta, times, states, termination, escape_time)
+    return _trajectory(params, delta, times, blocks, termination, escape_time)
 
 
 def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> DyadicState:

@@ -12,8 +12,11 @@ import csv
 import io
 import json
 import os
+import re
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from dyadicflow.analysis import BlowupDiagnostics, InvariantReport
 from dyadicflow.integrate import Trajectory
@@ -40,6 +43,76 @@ def _atomic_write_text(path, text: str) -> Path:
         fh.write(text)
     os.replace(tmp, path)
     return path
+
+
+_JSON_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"')
+# 1 opening bracket, 2 closing bracket, 3 comma, 4 colon
+_JSON_KIND = np.zeros(256, dtype=np.uint8)
+_JSON_KIND[list(b"[{")] = 1
+_JSON_KIND[list(b"]}")] = 2
+_JSON_KIND[list(b",:")] = (3, 4)
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, from the C encoder.
+
+    ``indent`` selects the pure-Python encoder, twice as slow on a long
+    series.  Here the C encoder writes the compact text and a few array
+    passes lay it out.  Outside string literals, a line break and the indent
+    of the new depth follow each opening bracket and comma and precede each
+    closing bracket, and a space follows each colon; empty containers stay
+    ``[]`` and ``{}``.  Large temporaries are dropped as soon as they are
+    used, so the peak memory stays that of the pure-Python encoder.
+    """
+    raw = json.dumps(obj, separators=(",", ":")).encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    kind = _JSON_KIND[b]
+    for m in _JSON_STRING.finditer(raw):
+        kind[m.start() : m.end()] = 0
+    pos = np.flatnonzero(kind)
+    k = kind[pos]
+    chars = b[pos]
+    kept = b[kind == 0]
+    # the output alternates runs of kept bytes (even entries) with the
+    # regions the structural bytes become (odd entries); in-place arithmetic
+    # keeps the temporaries few
+    runs = np.empty(2 * k.size + 1, dtype=np.int64)
+    bounds = np.concatenate(([-1], pos, [b.size]))
+    del raw, b, kind, pos
+    gaps = runs[0::2]
+    np.subtract(bounds[1:], bounds[:-1], out=gaps)
+    gaps -= 1
+    del bounds
+    pair = (k[:-1] == 1) & (k[1:] == 2) & (gaps[1:-1] == 0)
+    empty = np.zeros(k.size, dtype=bool)
+    empty[:-1] = pair
+    empty[1:] |= pair
+    # a region holds the byte, a line break and two spaces per depth; a
+    # colon becomes ": " and an empty pair keeps its two bytes
+    cnt = runs[1::2]
+    np.cumsum(k == 1, out=cnt)
+    cnt -= np.cumsum(k == 2)
+    cnt *= 2
+    cnt += 2
+    cnt[empty] = 1
+    cnt[k == 4] = 2
+    out = np.full(int(runs.sum()) + 1, ord(" "), dtype=np.uint8)
+    out[-1] = ord("\n")
+    is_kept = np.zeros(runs.size, dtype=bool)
+    is_kept[::2] = True
+    out[:-1][np.repeat(is_kept, runs)] = kept
+    del is_kept, kept
+    ends = np.cumsum(runs, out=runs)  # region j spans [ends[2j], ends[2j + 1])
+    start, stop = ends[0:-1:2], ends[1::2]
+    lead = ((k == 1) | (k == 3)) & ~empty
+    out[start[lead]] = chars[lead]
+    out[start[lead] + 1] = ord("\n")
+    close = (k == 2) & ~empty
+    out[start[close]] = ord("\n")
+    out[stop[close] - 1] = chars[close]
+    plain = (k == 4) | empty
+    out[start[plain]] = chars[plain]
+    return str(out, "ascii")
 
 
 def _write_csv(path, header, rows) -> Path:
@@ -135,8 +208,7 @@ def _report_obj(rep: InvariantReport) -> dict:
 
 
 def write_reports_json(reports, path) -> Path:
-    text = json.dumps([_report_obj(r) for r in reports], indent=2) + "\n"
-    return _atomic_write_text(path, text)
+    return _atomic_write_text(path, _json_text([_report_obj(r) for r in reports]))
 
 
 def read_reports_json(path) -> list[InvariantReport]:
@@ -165,7 +237,7 @@ def write_blowup_json(diag: BlowupDiagnostics, path) -> Path:
         "front_series": [[t, k] for t, k in diag.front_series],
         "escape_time": diag.escape_time,
     }
-    return _atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    return _atomic_write_text(path, _json_text(obj))
 
 
 def write_scan_csv(rows, path) -> Path:

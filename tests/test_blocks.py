@@ -9,6 +9,7 @@ the block size.
 """
 
 import dataclasses
+import importlib
 import math
 import tracemalloc
 
@@ -20,10 +21,12 @@ from dyadicflow.analysis import SQRT2, InvariantReport, run_checks
 from dyadicflow.cli import inject_fault
 from dyadicflow.integrate import (
     Diagnostics,
+    IntegrationAbortError,
     Scheme,
     StepControls,
     Termination,
     _diagnostics,
+    _first_escape,
     _trajectory,
     detect_escape,
     integrate,
@@ -235,6 +238,22 @@ def _loop_riccati_identity(traj, tol_per_cadence=1.0):
         if resid > worst:
             worst, loc = resid, (float(t[i]), None)
     return InvariantReport.from_margin("riccati_identity", -worst, loc, tol_per_cadence * cadence)
+
+
+def _loop_watch(ts, ys, norm_s, threshold, abort_tol):
+    """The monotone guard, then the escape test, record by record, as a run once did them.
+
+    Returns ``("escape", row)``, ``("abort", t, index, margin)`` or None.
+    """
+    for row, (t, a) in enumerate(zip(ts, ys)):
+        d = np.diff(a)
+        if abort_tol is not None:
+            worst = min(float(a[0]), float(d.min()))
+            if worst < -abort_tol:
+                return ("abort", t, int(np.argmin(np.concatenate([[a[0]], d]))), worst)
+        if _loop_xs_norm(a, norm_s) > threshold:
+            return ("escape", row)
+    return None
 
 
 def _loop_detect_escape(traj, threshold, s):
@@ -481,6 +500,94 @@ class TestDetectEscape:
         traj = trajectories["escape_cell"]
         with pytest.raises(DomainError):
             detect_escape(traj, traj.diag.xs_norm[0], 1.5)
+
+
+def _watch(ts, ys, norm_s, threshold, abort_tol):
+    """The outcome of :func:`_first_escape` on a block, in the form of :func:`_loop_watch`."""
+    try:
+        row = _first_escape(ts, ys, norm_s, threshold, abort_tol)
+    except IntegrationAbortError as exc:
+        return ("abort", exc.t, exc.index, exc.margin)
+    return None if row is None else ("escape", row)
+
+
+class TestRecordWatch:
+    """The guard and the escape test on the block of records of one step."""
+
+    @pytest.fixture
+    def block(self, trajectories):
+        # eight records of the bump run: X^s norms (s = 1.5) 3.549 .. 3.550, increasing
+        traj = trajectories["bump20"]
+        return traj.times[100:108].tolist(), traj.states[100:108].copy()
+
+    def _compare(self, ts, ys, threshold, abort_tol=1e-9, s=1.5):
+        got = _watch(ts, ys, s, threshold, abort_tol)
+        assert repr(got) == repr(_loop_watch(ts, ys, s, threshold, abort_tol))
+        return got
+
+    @staticmethod
+    def _undershoot(ys, row, k, by):
+        ys[row, k:] -= ys[row, k] - ys[row, k - 1] + by
+
+    def test_quiet_block(self, block):
+        ts, ys = block
+        assert self._compare(ts, ys, 1e3) is None
+        assert self._compare(ts, ys, 1e3, abort_tol=None) is None
+
+    def test_escape_on_first_record(self, block):
+        ts, ys = block
+        assert self._compare(ts, ys, 2.0) == ("escape", 0)
+
+    def test_escape_inside_block(self, block):
+        ts, ys = block
+        norms = _xs_norms(ys, np.diff(ys, axis=1), 1.5)
+        assert self._compare(ts, ys, float(norms[4])) == ("escape", 5)
+
+    def test_earlier_row_wins(self, block):
+        ts, ys = block
+        norms = _xs_norms(ys, np.diff(ys, axis=1), 1.5)
+        self._undershoot(ys, 6, 9, 1e-6)  # an abort after the escape
+        assert self._compare(ts, ys, float(norms[2])) == ("escape", 3)
+        self._undershoot(ys, 1, 4, 1e-6)  # and one before it
+        assert self._compare(ts, ys, float(norms[2]))[:3] == ("abort", ts[1], 4)
+        # without the guard the escape stands
+        assert self._compare(ts, ys, float(norms[2]), abort_tol=None) == ("escape", 3)
+
+    def test_guard_wins_within_row(self, block):
+        ts, ys = block
+        ys[3, 0] = -1e-3  # a negative origin in the first row that escapes
+        norms = _xs_norms(ys, np.diff(ys, axis=1), 1.5)
+        assert norms[3] > norms[2]
+        assert self._compare(ts, ys, float(norms[2])) == ("abort", ts[3], 0, -1e-3)
+        assert self._compare(ts, ys, float(norms[2]), abort_tol=None) == ("escape", 3)
+
+    def test_steps_without_records(self, monkeypatch):
+        # a cadence coarser than the steps: most steps hold no record and
+        # are not watched, and no block is empty
+        integrate_module = importlib.import_module("dyadicflow.integrate")
+        rows = []
+
+        def watched(ts, ys, *args):
+            rows.append(len(ts))
+            return _first_escape(ts, ys, *args)
+
+        monkeypatch.setattr(integrate_module, "_first_escape", watched)
+        c = StepControls(rel_tol=1e-10, abs_tol=1e-13, record_every=0.1)
+        traj = integrate(ModelParams(alpha=0.0, trunc_k=20), gen_bump(20), 0.5, c)
+        assert rows == [1] * len(traj.times) == [1] * 6
+
+    def test_run_stops_at_first_escaping_record(self, trajectories):
+        # a step holds many records; the run ends on the first one past the
+        # threshold, and the records up to it are those of the run without one
+        full = trajectories["bump20"]
+        threshold = float(full.diag.xs_norm[777])
+        p = full.params
+        c = StepControls(rel_tol=1e-10, abs_tol=1e-13, record_every=1e-4)
+        traj = integrate(p, gen_bump(20), 0.12, c, escape_threshold=threshold)
+        first = int(np.flatnonzero(full.diag.xs_norm > threshold)[0])
+        assert traj.escape_time == full.times[first] == detect_escape(full, threshold, p.norm_s)
+        assert np.array_equal(traj.times, full.times[: first + 1])
+        assert np.array_equal(traj.states, full.states[: first + 1])
 
 
 class TestLeanXsNorm:

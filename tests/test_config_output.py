@@ -8,7 +8,7 @@ import pytest
 
 from dyadicflow.model import DyadicState, ModelParams, Tail
 from dyadicflow.integrate import Scheme, StepControls, Termination, integrate
-from dyadicflow.analysis import InvariantReport, blowup_diagnostics
+from dyadicflow.analysis import BlowupDiagnostics, InvariantReport, blowup_diagnostics
 from dyadicflow.config import (
     BumpScenario,
     ConfigError,
@@ -24,12 +24,14 @@ from dyadicflow.config import (
     save_config,
 )
 from dyadicflow.output import (
+    _json_text,
     read_profile_csv,
     read_reports_json,
     read_scan_csv,
     read_state_csv,
     read_trajectory_csv,
     save_outputs,
+    write_blowup_json,
     write_reports_json,
     write_scan_csv,
     write_trajectory_csv,
@@ -280,6 +282,33 @@ class TestOutputs:
         blob = json.loads((tmp_path / "run_blowup.json").read_text())
         assert blob["delta"] == traj.delta
         assert len(blob["j_series"]) == len(traj.times)
+
+    def test_json_layout_matches_indent_encoder(self, tmp_path):
+        inf, nan = math.inf, math.nan
+        objects = [
+            {"delta": 0.5, "j_series": [[0.0, nan], [0.1, inf], [0.2, -inf], [0.3, -0.0]],
+             "riccati_t": None, "front_series": [[0.0, 3], [0.1, -4]], "escape_time": 1e300},
+            {"delta": 0.5, "j_series": [], "riccati_t": None, "front_series": [],
+             "escape_time": None},
+            # strings holding the bytes the layout acts on, nested empties
+            [{"name": 'x[1], {y}: "z"\\', "e": [[], {}, [[]]], "ok": True, "no": False}],
+            [], {}, 0, -0.0, nan, None, "a,b",
+        ]
+        for obj in objects:
+            assert _json_text(obj) == json.dumps(obj, indent=2) + "\n", obj
+        diag = BlowupDiagnostics(0.5, ((0.0, -0.0), (0.25, inf), (0.5, nan)), None,
+                                 ((0.0, 3), (0.5, 4)), 0.5)
+        text = write_blowup_json(diag, tmp_path / "b.json").read_text()
+        assert text == json.dumps({
+            "delta": 0.5, "j_series": [[0.0, -0.0], [0.25, inf], [0.5, nan]], "riccati_t": None,
+            "front_series": [[0.0, 3], [0.5, 4]], "escape_time": 0.5,
+        }, indent=2) + "\n"
+        reps = [InvariantReport("a_check", False, -inf, (0.5, None), 1e-9)]
+        text = write_reports_json(reps, tmp_path / "r.json").read_text()
+        assert text == json.dumps([{
+            "name": "a_check", "passed": False, "worst_margin": -inf,
+            "worst_location": [0.5, None], "tolerance": 1e-9,
+        }], indent=2) + "\n"
 
     def test_byte_identical_rewrites(self, tmp_path, traj):
         p1 = write_trajectory_csv(traj, tmp_path / "a.csv")

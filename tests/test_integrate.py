@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import importlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from dyadicflow.model import (
     DomainError,
@@ -348,9 +350,15 @@ class TestIntegrate:
 
 
 class _StackDormandPrince(integrate_module._DormandPrince):
-    """Reference: one stack of the stages per product, seven RHS per attempt."""
+    """Reference: one stack of the stages per product, seven RHS per attempt,
+    and dopri5's dense output of the last attempt one state at a time."""
 
     B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+    D = np.array([
+        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+        -10690763975 / 1880347072, 701980252875 / 199316789632,
+        -1453857185 / 822651844, 69997945 / 29380423,
+    ])
 
     def attempt(self, t, y, dt):
         a, c, e = integrate_module._DP_A, integrate_module._DP_C, integrate_module._DP_E
@@ -359,7 +367,19 @@ class _StackDormandPrince(integrate_module._DormandPrince):
             yi = y + dt * (a[i] @ np.stack(k[: len(a[i])]))
             k.append(self.rhs(t + c[i] * dt, yi))
         ks = np.stack(k)
-        return y + dt * (self.B @ ks), dt * (e @ ks)
+        y_new = y + dt * (self.B @ ks)
+        self.last = (y, y_new, ks, dt)
+        return y_new, dt * (e @ ks)
+
+    def interpolate(self, theta):
+        y, y_new, ks, dt = self.last
+        dy = y_new - y
+        r3 = dt * ks[0] - dy
+        r4 = dy - dt * ks[6] - r3
+        r5 = dt * (self.D @ ks)
+        return np.stack(
+            [y + th * (dy + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5))) for th in theta]
+        )
 
 
 # (params, initial state, t_end, controls, integrate keywords)
@@ -368,9 +388,15 @@ DP_CASES = {
         ModelParams(alpha=0.0, trunc_k=10), gen_bump(10), 1.0,
         StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=0.1), {},
     ),
-    # the alpha 0.35, K 16 cell of the criterion-09 scan: many rejections
+    # the alpha 0.35, K 16 cell of the criterion-09 scan
     "front_rejections": (
         ModelParams(alpha=0.35, trunc_k=16), gen_front(16, 7, 1.3, 0.5, 10.0), 1.5,
+        StepControls(rel_tol=1e-9, abs_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE,
+                     record_every=0.005), {"escape_threshold": 1e4},
+    ),
+    # stiffer than the scan cells: over a hundred rejections
+    "stiff_rejections": (
+        ModelParams(alpha=0.45, trunc_k=14), gen_front(14, 7, 1.3, 0.5, 10.0), 1.5,
         StepControls(rel_tol=1e-9, abs_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE,
                      record_every=0.005), {"escape_threshold": 1e4},
     ),
@@ -422,7 +448,7 @@ class TestDormandPrince:
 
         monkeypatch.setattr(integrate_module, "_rhs_inviscid_array", rhs)
         monkeypatch.setattr(integrate_module._DormandPrince, "attempt", attempt)
-        p, s0, t_end, c, kw = DP_CASES["front_rejections"]
+        p, s0, t_end, c, kw = DP_CASES["stiff_rejections"]
         traj = integrate(p, s0, t_end, c, **kw)
         assert traj.termination is Termination.REACHED_T_END
         assert len(rejected) > 100
@@ -464,6 +490,82 @@ class TestDormandPrince:
         assert not y_new.flags.writeable
         with pytest.raises(ValueError):
             y_new[0] = 1.0
+
+
+# (params, initial state, t_end, rel_tol) of the dense-output accuracy cases
+DENSE_CASES = {
+    "bump_k10": (ModelParams(alpha=0.0, trunc_k=10), gen_bump(10), 1.0, 1e-10),
+    "bump_k20": (ModelParams(alpha=0.0, trunc_k=20), gen_bump(20), 0.5, 1e-10),
+    # the alpha 0.35, K 12 cell of the criterion-09 scan; its steps sit at
+    # the stability limit of the pair
+    "scan_front_k12": (
+        ModelParams(alpha=0.35, trunc_k=12), gen_front(12, 7, 1.3, 0.5, 10.0), 1.5, 1e-9,
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _dop853_reference(case):
+    """A DOP853 solve of a dense-output case at rtol 1e-13, as a function of t.
+
+    Its steps are capped at 1e-3: like that of any Runge-Kutta pair, its
+    continuous extension is only accurate on steps well inside the
+    stability region.  Uncapped, it reads 2.4e-8 off the stepped states
+    (and a Radau solve) at t = 0.724 on the scan front.
+    """
+    p, s0, t_end, _ = DENSE_CASES[case]
+    rhs, _ = integrate_module._build_rhs(p)
+    sol = solve_ivp(rhs, (0.0, t_end), s0.a, method="DOP853", rtol=1e-13, atol=1e-16,
+                    max_step=1e-3, dense_output=True)
+    assert sol.success
+    return sol.sol
+
+
+def _count_attempts(monkeypatch):
+    attempts = []
+    original = integrate_module._DormandPrince.attempt
+
+    def attempt(self, t, y, dt):
+        attempts.append(dt)
+        return original(self, t, y, dt)
+
+    monkeypatch.setattr(integrate_module._DormandPrince, "attempt", attempt)
+    return attempts
+
+
+class TestDenseOutput:
+    """Records inside a Dormand-Prince step come from its continuous extension."""
+
+    def test_ends_of_the_step(self):
+        p = ModelParams(alpha=0.35, trunc_k=12)
+        rhs, _ = integrate_module._build_rhs(p)
+        stepper = integrate_module._DormandPrince(rhs, p.n_modes)
+        y = gen_front(12, 7, 1.3, 0.5, 10.0).a.copy()
+        y_new, _ = stepper.attempt(0.0, y, 4e-3)
+        start, end = stepper.interpolate(np.array([0.0, 1.0]))
+        assert np.array_equal(start, y)
+        np.testing.assert_allclose(end, y_new, rtol=4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("every, finer", [(1e-4, True), (0.1, False)])
+    @pytest.mark.parametrize("case", list(DENSE_CASES))
+    def test_records_match_reference(self, case, every, finer, monkeypatch):
+        p, s0, t_end, rel_tol = DENSE_CASES[case]
+        attempts = _count_attempts(monkeypatch)
+        c = StepControls(rel_tol=rel_tol, abs_tol=1e-3 * rel_tol,
+                         scheme=Scheme.EXPLICIT_ADAPTIVE, record_every=every)
+        traj = integrate(p, s0, t_end, c)
+        assert traj.termination is Termination.REACHED_T_END
+        assert (every < np.median(attempts)) == finer  # than the steps
+        ref = _dop853_reference(case)(traj.times).T
+        assert np.max(np.abs(traj.states - ref)) <= rel_tol * np.max(np.abs(traj.states))
+
+    def test_records_do_not_set_the_steps(self, monkeypatch):
+        # the inviscid_diag benchmark run: 5,001 records from a few dozen steps
+        attempts = _count_attempts(monkeypatch)
+        c = StepControls(rel_tol=1e-10, abs_tol=1e-13, record_every=1e-4)
+        traj = integrate(ModelParams(alpha=0.0, trunc_k=20), gen_bump(20), 0.5, c)
+        assert len(traj.times) == 5001 and traj.times[-1] == 0.5
+        assert len(attempts) < 100
 
 
 class TestLinearSemigroup:
