@@ -12,15 +12,18 @@ Three schemes are provided:
   from the same seven stages), and a record on the step end takes the
   stepped state.
 * ``DUHAMEL_IMEX`` -- fourth-order exponential integrator (Cox-Matthews
-  ETDRK4 in phi-form, with an embedded ETD2RK error estimate): the linear
-  dissipative flow enters through the exact matrix exponential and its
-  phi-functions (one scaling-and-squaring ``expm`` of an augmented block)
-  and the quadratic transport term is treated explicitly, so the step size
-  is set by the nonlinearity rather than the fastest dissipative rate.  Its
-  step sizes are rounded down to the ladder ``record_every * 2**-j``, so
-  each exponential table is built once per run and size, not per attempt;
-  the half step of a rung is the next rung.  At alpha = 0 it steps with a
-  zero linear part, where it is classical RK4.
+  ETDRK4 in phi-form): the linear dissipative flow enters through the
+  exact matrix exponential and its phi-functions (one scaling-and-squaring
+  ``expm`` of an augmented block) and the quadratic transport term is
+  treated explicitly, so the step size is set by the nonlinearity rather
+  than the fastest dissipative rate.  The nonlinearity at the new state is
+  the first stage of the next attempt (first same as last) and gives an
+  O(h**4) error estimate, so an attempt costs four right-hand sides and the
+  error follows the tolerance.  Its step sizes are rounded down to the
+  ladder ``record_every * 2**-j``, so each exponential table is built once
+  per run and size, not per attempt; the half step of a rung is the next
+  rung.  At alpha = 0 it steps with a zero linear part, where it is
+  classical RK4.
 * ``REFERENCE_FIXED_RK4`` -- classical fixed-step RK4 with compensated
   (Kahan) state accumulation, used as a cross-validation reference.
 
@@ -294,13 +297,20 @@ class _Etdrk4:
 
     The half-step stages use the tables of ``dt/2``, itself a rung of the
     ladder, so each table serves both as a step and as a half step.  The
-    error estimate is the gap to the embedded ETD2RK solution
-    ``E y + h phi_1 N(y) + h phi_2 (N(c) - N(y))`` from the same four stages,
-    which is ``2h (phi_2 - 2 phi_3) (N(a) + N(b) - N(y) - N(c))``.  At M = 0
-    the scheme is classical RK4.
+    nonlinearity is evaluated at the new state too, first same as last: it
+    is the ``N(y)`` of the next attempt, and it gives the error estimate
+    ``h (4 phi_3 - phi_2) (N(y_new) - N(c))``, the ETDRK4 quadrature with its
+    endpoint node at the computed solution instead of the second-order
+    stage ``c``.  The estimate is O(h**4), so the error follows the
+    tolerance.  ``attempt`` reuses ``N(y_new)`` when called from the state
+    it returned last, and ``N(y)`` when retried from the state it started
+    from last, so an attempt costs four right-hand sides.  Both are
+    recognised by identity, which is sound because the returned state is
+    read-only and callers do not mutate theirs.  At M = 0 the scheme is
+    classical RK4.
     """
 
-    err_exponent = 1.0 / 3.0
+    err_exponent = 1.0 / 4.0
     adaptive = True
     ladder = True  # step sizes record_every * 2**-j, so each table is built once
     interpolates = False
@@ -310,6 +320,8 @@ class _Etdrk4:
         self.m = m
         self.nl = nonlinear
         self._tables_cache: dict[float, tuple] = {}
+        # start and result of the last attempt, with N at each
+        self._y = self._n0 = self._y_new = self._n_new = None
 
     def _tables(self, dt):
         """``exp(-dt M)``, ``dt phi_1`` and the three ETDRK4 weights of ``dt``."""
@@ -333,15 +345,22 @@ class _Etdrk4:
         e_half, p_half = self._tables(0.5 * dt)[:2]
         e, _, w1, w2, w3 = self._tables(dt)
         nl = self.nl
-        n0 = nl(y)
+        if y is self._y_new:
+            n0 = self._n_new
+        elif y is self._y:
+            n0 = self._n0
+        else:
+            n0 = nl(y)
         ey_half = e_half @ y
         a = ey_half + p_half @ n0
         na = nl(a)
         nb = nl(ey_half + p_half @ na)
         nc = nl(e_half @ a + p_half @ (2.0 * nb - n0))
-        nab = na + nb
-        y_new = e @ y + w1 @ n0 + w2 @ nab + w3 @ nc
-        return y_new, w2 @ (nab - n0 - nc)
+        y_new = e @ y + w1 @ n0 + w2 @ (na + nb) + w3 @ nc
+        n_new = nl(y_new)
+        y_new.flags.writeable = False
+        self._y, self._n0, self._y_new, self._n_new = y, n0, y_new, n_new
+        return y_new, w3 @ (n_new - nc)
 
 
 class _Rk4Kahan:
@@ -516,7 +535,10 @@ def _imex_stepper(params: ModelParams) -> _Etdrk4:
     """The IMEX stepper of the last :func:`step` model, kept for its phi-tables.
 
     Chained steps then build each table once, as :func:`integrate` does.  The
-    stepper holds no other state, so sharing it leaves every step unchanged.
+    stepper also holds the endpoint stage of its last attempt, which it
+    reuses only for the very array that attempt started from or returned.
+    :func:`step` passes a fresh copy of the state, so sharing the stepper
+    leaves every step unchanged.
     """
     return _make_stepper(params, StepControls(scheme=Scheme.DUHAMEL_IMEX))[0]
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dtbtrs
 
 
 class InvalidInputError(ValueError):
@@ -213,8 +213,13 @@ def _dissipation_array(a: np.ndarray, alpha: float, tail: Tail) -> np.ndarray:
     d = np.diff(a)
     out = np.zeros(a.size)
     np.cumsum(p[1:] * d, out=out[1:])
+    # S from the unit upper bidiagonal system S_k - S_{k+1}/2 = d_{k+1}, S_K = 0;
+    # LAPACK directly, without solve_banded's fixed cost
     band = np.array([np.full(kmax, -0.5), np.ones(kmax)])
-    out[:-1] -= w[:-1] * solve_banded((0, 1), band, d, check_finite=False)
+    s, info = dtbtrs(band, d, uplo="U")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded solve failed (LAPACK dtbtrs info {info})")
+    out[:-1] -= w[:-1] * s
     if tail is Tail.ZERO:
         out += np.ldexp(w, np.arange(-kmax, 1)) * (a[-1] - a)
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -129,11 +130,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
     d = traj.diag
     columns = (traj.times, d.a0, d.sup_a, d.xs_norm, d.j_value, d.max_ratio, d.front_index,
                d.holder_half)
-    term = traj.termination.value
-    rows = (
-        [_f(t), _f(a0), _f(sup_a), _f(xs), _f(j), _f(ratio), front, _f(holder), term]
-        for t, a0, sup_a, xs, j, ratio, front, holder in zip(*(c.tolist() for c in columns))
-    )
+    # csv.writer formats a float through repr, as _f does, so the columns go in as they are
+    rows = zip(*(c.tolist() for c in columns), itertools.repeat(traj.termination.value))
     return _write_csv(path, TRAJECTORY_HEADER, rows)
 
 

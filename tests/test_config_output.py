@@ -24,7 +24,10 @@ from dyadicflow.config import (
     save_config,
 )
 from dyadicflow.output import (
+    TRAJECTORY_HEADER,
+    _f,
     _json_text,
+    _write_csv,
     read_profile_csv,
     read_reports_json,
     read_scan_csv,
@@ -214,6 +217,25 @@ class TestOutputs:
             assert row["J"] == d.j_value[i]
             assert row["front_index"] == d.front_index[i]
             assert row["termination"] == traj.termination.value
+
+    def test_trajectory_csv_matches_per_cell_repr(self, tmp_path):
+        # csv.writer formats floats through repr: the bytes of formatting
+        # each cell with _f; the constant state has no ratio at t = 0 (nan)
+        # and a roundoff ratio of -0.0 at t = 0.01
+        traj = integrate(ModelParams(alpha=0.3, trunc_k=8), DyadicState(t=0.0, a=[0.7] * 9),
+                         0.05, StepControls(record_every=0.01))
+        d = traj.diag
+        assert math.isnan(d.max_ratio[0]) and math.copysign(1.0, d.max_ratio[1]) == -1.0
+        columns = (traj.times, d.a0, d.sup_a, d.xs_norm, d.j_value, d.max_ratio, d.front_index,
+                   d.holder_half)
+        rows = (
+            [_f(t), _f(a), _f(sup), _f(xs), _f(j), _f(ratio), front, _f(h),
+             traj.termination.value]
+            for t, a, sup, xs, j, ratio, front, h in zip(*(c.tolist() for c in columns))
+        )
+        reference = _write_csv(tmp_path / "ref.csv", TRAJECTORY_HEADER, rows)
+        path = write_trajectory_csv(traj, tmp_path / "t.csv")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_trajectory_diagnostics_recompute_from_state(self, tmp_path, traj):
         from dyadicflow.model import xs_norm

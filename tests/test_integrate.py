@@ -102,8 +102,9 @@ class TestStep:
         assert np.max(np.abs(s.a - traj.final_state.a)) <= tol
 
     def test_chained_imex_steps_build_tables_once(self, monkeypatch):
-        # the setup of test_chained_steps_match_integrate: step() keeps the
-        # IMEX stepper of the last model, so each phi-table is built once
+        # the setup of test_chained_steps_match_integrate at tighter
+        # tolerances, for enough steps: step() keeps the IMEX stepper of
+        # the last model, so each phi-table is built once
         calls = []
         original = integrate_module.expm
 
@@ -114,7 +115,8 @@ class TestStep:
         monkeypatch.setattr(integrate_module, "expm", expm)
         integrate_module._imex_stepper.cache_clear()
         p = ModelParams(alpha=0.35, trunc_k=8)
-        c = StepControls(scheme=Scheme.DUHAMEL_IMEX, record_every=0.2)
+        c = StepControls(rel_tol=1e-11, abs_tol=1e-14, scheme=Scheme.DUHAMEL_IMEX,
+                         record_every=0.2)
         s, dt, steps = gen_front(8, 3, 1.2, 0.5), c.dt_init, 0
         while s.t < 0.2:
             s, _, dt = step(p, s, c, min(dt, 0.2 - s.t))
@@ -413,6 +415,30 @@ DP_CASES = {
 }
 
 
+def _count_calls(monkeypatch, stepper_cls):
+    """Lists that collect the RHS calls, attempts and rejections of ``stepper_cls``.
+
+    A rejection is an attempt from the same time as the one before it.
+    """
+    rhs_calls, attempts, rejected = [], [], []
+    original_rhs = integrate_module._rhs_inviscid_array
+    original_attempt = stepper_cls.attempt
+
+    def rhs(y):
+        rhs_calls.append(None)
+        return original_rhs(y)
+
+    def attempt(self, t, y, dt):
+        if attempts and attempts[-1] == t:
+            rejected.append(t)
+        attempts.append(t)
+        return original_attempt(self, t, y, dt)
+
+    monkeypatch.setattr(integrate_module, "_rhs_inviscid_array", rhs)
+    monkeypatch.setattr(stepper_cls, "attempt", attempt)
+    return rhs_calls, attempts, rejected
+
+
 class TestDormandPrince:
     """One stage buffer, first-same-as-last reuse, read-only results."""
 
@@ -432,22 +458,7 @@ class TestDormandPrince:
             )
 
     def test_six_rhs_per_attempt(self, monkeypatch):
-        rhs_calls, attempts, rejected = [], [], []
-        original_rhs = integrate_module._rhs_inviscid_array
-        original_attempt = integrate_module._DormandPrince.attempt
-
-        def rhs(y):
-            rhs_calls.append(None)
-            return original_rhs(y)
-
-        def attempt(self, t, y, dt):
-            if attempts and attempts[-1] == t:
-                rejected.append(t)
-            attempts.append(t)
-            return original_attempt(self, t, y, dt)
-
-        monkeypatch.setattr(integrate_module, "_rhs_inviscid_array", rhs)
-        monkeypatch.setattr(integrate_module._DormandPrince, "attempt", attempt)
+        rhs_calls, attempts, rejected = _count_calls(monkeypatch, integrate_module._DormandPrince)
         p, s0, t_end, c, kw = DP_CASES["stiff_rejections"]
         traj = integrate(p, s0, t_end, c, **kw)
         assert traj.termination is Termination.REACHED_T_END
@@ -790,8 +801,17 @@ class TestPhiTables:
             np.testing.assert_allclose(block, ref, atol=1e-12)
 
 
+# (params, initial state, t_end) of the exponential-stepper accuracy cases
+ETD_CASES = {
+    # the default dissipative run of the benchmark
+    "imex_front16": (ModelParams(alpha=0.25, trunc_k=16), gen_front(16, 4, 1.2, 0.5, 10.0), 1.0),
+    # the front of the criterion-09 scan, stiffer than its cells
+    "scan_front_k20": (ModelParams(alpha=0.45, trunc_k=20), gen_front(20, 7, 1.3, 0.5, 10.0), 0.05),
+}
+
+
 class TestEtdrk4:
-    """The exponential stepper on its own: order, and RK4 at M = 0."""
+    """The exponential stepper on its own: order, its error estimate, RK4 at M = 0."""
 
     def test_fourth_order_on_rungs(self):
         # fixed rung steps h, h/2, h/4 on the imex_front16 data against a
@@ -813,6 +833,82 @@ class TestEtdrk4:
         ratios = [e0 / e1 for e0, e1 in zip(errors, errors[1:])]
         assert all(12.0 <= r <= 20.0 for r in ratios), (errors, ratios)
 
+    def test_estimate_is_fourth_order(self):
+        # one attempt from the imex_front16 data on the rungs 0.01 * 2**-3
+        # .. 0.01 * 2**-6: the estimate falls by about 2**4 per halving (an
+        # embedded ETD2RK estimate falls by about 2**3)
+        p, s0, _ = ETD_CASES["imex_front16"]
+        stepper, _ = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
+        norms = []
+        for j in (3, 4, 5, 6):
+            _, err = stepper.attempt(0.0, s0.a.copy(), math.ldexp(0.01, -j))
+            norms.append(np.max(np.abs(err)))
+        ratios = [e0 / e1 for e0, e1 in zip(norms, norms[1:])]
+        assert all(12.0 <= r <= 20.0 for r in ratios), (norms, ratios)
+
+    def test_four_rhs_per_attempt(self, monkeypatch):
+        # a rejected attempt is retried from the same state and keeps N(y);
+        # an accepted one hands N(y_new) to the next attempt
+        rhs_calls, attempts, rejected = _count_calls(monkeypatch, integrate_module._Etdrk4)
+        p, s0, t_end = ETD_CASES["imex_front16"]
+        # a first step far too large: rejected until it fits
+        c = StepControls(dt_init=0.5, record_every=t_end, scheme=Scheme.DUHAMEL_IMEX)
+        traj = integrate(p, s0, t_end, c)
+        assert traj.termination is Termination.REACHED_T_END
+        assert len(rejected) >= 3
+        assert len(rhs_calls) == 4 * len(attempts) + 1
+
+    def test_reuses_first_and_last_stage(self):
+        p, s0, _ = ETD_CASES["imex_front16"]
+        c = StepControls(scheme=Scheme.DUHAMEL_IMEX)
+        calls = []
+
+        def counted(y):
+            calls.append(None)
+            return integrate_module._rhs_inviscid_array(y)
+
+        def fresh(y, dt):
+            return integrate_module._make_stepper(p, c)[0].attempt(0.0, y.copy(), dt)
+
+        stepper = integrate_module._Etdrk4(integrate_module.dissipation_matrix(p), counted)
+        y = s0.a.copy()
+        stepper.attempt(0.0, y, 0.01)
+        assert len(calls) == 5
+        # a retry from the same state (a rejection) keeps N(y)
+        y_new, err = stepper.attempt(0.0, y, 0.005)
+        assert len(calls) == 9
+        y_ref, err_ref = fresh(y, 0.005)
+        assert np.array_equal(y_new, y_ref) and np.array_equal(err, err_ref)
+        # N at the new state is the N(y) of the next attempt
+        y_next, err = stepper.attempt(0.005, y_new, 0.005)
+        assert len(calls) == 13
+        y_ref, err_ref = fresh(y_new, 0.005)
+        assert np.array_equal(y_next, y_ref) and np.array_equal(err, err_ref)
+
+    def test_result_is_read_only(self):
+        p, s0, _ = ETD_CASES["imex_front16"]
+        stepper, _ = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
+        y_new, _ = stepper.attempt(0.0, s0.a.copy(), 1e-3)
+        assert not y_new.flags.writeable
+        with pytest.raises(ValueError):
+            y_new[0] = 1.0
+
+    @pytest.mark.parametrize("case", list(ETD_CASES))
+    def test_error_follows_tolerance(self, case):
+        # against a tight Dormand-Prince solve the gap stays within rel_tol
+        # and shrinks with it
+        p, s0, t_end = ETD_CASES[case]
+        ref = integrate(p, s0, t_end, StepControls(
+            rel_tol=1e-12, abs_tol=1e-14, scheme=Scheme.EXPLICIT_ADAPTIVE,
+            record_every=t_end)).final_state.a
+        gaps = []
+        for rel_tol in (1e-8, 1e-10):
+            a = integrate(p, s0, t_end, StepControls(
+                rel_tol=rel_tol, scheme=Scheme.DUHAMEL_IMEX)).final_state.a
+            gaps.append(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+            assert gaps[-1] <= rel_tol, gaps
+        assert 10.0 * gaps[1] <= gaps[0], gaps
+
     def test_zero_linear_part_is_rk4(self, rng):
         n = 9
         y = np.sort(rng.random(n))
@@ -821,7 +917,7 @@ class TestEtdrk4:
         y_new, err = stepper.attempt(0.0, y, 0.01)
         rk4, _ = integrate_module._Rk4Kahan(lambda t, y: nl(y)).attempt(0.0, y, 0.01)
         np.testing.assert_allclose(y_new, rk4, rtol=0, atol=1e-15)
-        # the embedded ETD2RK gap is third order, not zero
+        # the estimate h/6 (N(y_new) - N(c)) is fourth order, not zero
         assert 0.0 < np.max(np.abs(err)) < 1e-4
 
 
@@ -856,8 +952,9 @@ class TestStepLadder:
         assert 0 < len(calls) <= 64
 
     def test_accepted_steps_on_ladder(self, monkeypatch):
+        # tighter than the default tolerances, for enough accepted steps
         log = self._log_attempts(monkeypatch)
-        c = StepControls(scheme=Scheme.DUHAMEL_IMEX)
+        c = StepControls(rel_tol=1e-11, abs_tol=1e-14, scheme=Scheme.DUHAMEL_IMEX)
         traj = integrate(ModelParams(alpha=0.25, trunc_k=16),
                          gen_front(16, 4, 1.2, 0.5, 10.0), 0.25, c)
         records = set(traj.times.tolist())
@@ -873,14 +970,15 @@ class TestStepLadder:
 
     def test_attempts_at_benchmark_setup(self, monkeypatch):
         # the setup of TestIntegrate.test_imex_accuracy_at_benchmark_setup:
-        # fourth order needs under a thousand attempts here; a second-order
-        # exponential scheme on the same ladder took 21,100
+        # fourth order with an error estimate of its own order needs under
+        # three hundred attempts here; with a second-order estimate it took
+        # 1,325, and a second-order exponential scheme on the same ladder 21,100
         log = self._log_attempts(monkeypatch)
         traj = integrate(ModelParams(alpha=0.25, trunc_k=16),
                          gen_front(16, 4, 1.2, 0.5, 10.0), 0.25,
                          StepControls(scheme=Scheme.DUHAMEL_IMEX))
         assert traj.termination is Termination.REACHED_T_END
-        assert 0 < len(log) <= 1000
+        assert 0 < len(log) <= 300
 
     def test_underflow_never_below_dt_min(self, monkeypatch):
         # the setup of TestIntegrate.test_step_underflow_termination, on IMEX
