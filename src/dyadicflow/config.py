@@ -24,7 +24,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from dyadicflow import analysis
 from dyadicflow.integrate import Scheme, StepControls
 from dyadicflow.model import DomainError, DyadicState, ModelParams, Tail
-from dyadicflow.output import _atomic_write_text
+from dyadicflow.output import _atomic_write
 from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric
 
 class ConfigError(ValueError):
@@ -258,7 +258,7 @@ def config_text(cfg: RunConfig, sweep: Optional[SweepSpec] = None) -> str:
 
 def save_config(cfg: RunConfig, path, sweep: Optional[SweepSpec] = None) -> None:
     """Write a configuration file that reloads equal to ``cfg``."""
-    _atomic_write_text(path, config_text(cfg, sweep))
+    _atomic_write(path, (config_text(cfg, sweep),))
 
 
 def cell_config(base: RunConfig, alpha: float, trunc_k: int) -> RunConfig:

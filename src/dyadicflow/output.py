@@ -1,24 +1,31 @@
 """File emission: trajectory/state/profile CSVs, report and blow-up JSON.
 
-Floats are written as shortest round-trip decimals (``repr``), writes go
-through a temp-file rename so partially written outputs never appear, and
-nothing time- or host-dependent is emitted (re-running a command with the
-same inputs reproduces byte-identical files).
+Every file is emitted from columns.  A float column is formatted in bulk:
+one ``repr`` of the column's list, split on ``", "``, gives the ``repr`` of
+each float, its shortest round-trip decimal.  The CSV files are the bytes
+``csv.writer`` writes (its floats go through ``repr`` too, and no cell
+needs quoting), and the JSON files are the bytes of
+``json.dumps(obj, indent=2)`` plus a newline, NaN and infinities written as
+``NaN`` and ``Infinity`` as the json module writes them.  Columns are
+formatted and written :data:`~dyadicflow.analysis.BLOCK_ROWS` rows at a time,
+except the blow-up JSON's time column, formatted whole for its two series.
+Writes go through a temp-file rename, so partially written outputs never
+appear, and nothing time- or host-dependent is emitted (re-running a command
+with the same inputs reproduces byte-identical files).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import os
-import re
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from dyadicflow import analysis
 from dyadicflow.analysis import BlowupDiagnostics, InvariantReport
 from dyadicflow.integrate import Trajectory
 from dyadicflow.model import DyadicState, slopes, weighted_slopes
@@ -32,107 +39,71 @@ PROFILE_HEADER = ["x", "y"]
 SCAN_HEADER = ["alpha", "K", "max_norm", "escape_time"]
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
+def _atomic_write(path, chunks) -> Path:
+    """Write the text chunks to ``path`` through a temp file renamed into place.
 
-
-def _atomic_write_text(path, text: str) -> Path:
+    If writing raises, the temp file is removed and ``path`` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
-_JSON_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"')
-# 1 opening bracket, 2 closing bracket, 3 comma, 4 colon
-_JSON_KIND = np.zeros(256, dtype=np.uint8)
-_JSON_KIND[list(b"[{")] = 1
-_JSON_KIND[list(b"]}")] = 2
-_JSON_KIND[list(b",:")] = (3, 4)
+def _cells(column: np.ndarray, for_json: bool = False) -> list[str]:
+    """``repr`` of each value of a numpy column, from one ``repr`` of its list.
 
-
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, from the C encoder.
-
-    ``indent`` selects the pure-Python encoder, twice as slow on a long
-    series.  Here the C encoder writes the compact text and a few array
-    passes lay it out.  Outside string literals, a line break and the indent
-    of the new depth follow each opening bracket and comma and precede each
-    closing bracket, and a space follows each colon; empty containers stay
-    ``[]`` and ``{}``.  Large temporaries are dropped as soon as they are
-    used, so the peak memory stays that of the pure-Python encoder.
+    With ``for_json``, NaN and infinities read ``NaN`` and ``Infinity``.
     """
-    raw = json.dumps(obj, separators=(",", ":")).encode("ascii")
-    b = np.frombuffer(raw, dtype=np.uint8)
-    kind = _JSON_KIND[b]
-    for m in _JSON_STRING.finditer(raw):
-        kind[m.start() : m.end()] = 0
-    pos = np.flatnonzero(kind)
-    k = kind[pos]
-    chars = b[pos]
-    kept = b[kind == 0]
-    # the output alternates runs of kept bytes (even entries) with the
-    # regions the structural bytes become (odd entries); in-place arithmetic
-    # keeps the temporaries few
-    runs = np.empty(2 * k.size + 1, dtype=np.int64)
-    bounds = np.concatenate(([-1], pos, [b.size]))
-    del raw, b, kind, pos
-    gaps = runs[0::2]
-    np.subtract(bounds[1:], bounds[:-1], out=gaps)
-    gaps -= 1
-    del bounds
-    pair = (k[:-1] == 1) & (k[1:] == 2) & (gaps[1:-1] == 0)
-    empty = np.zeros(k.size, dtype=bool)
-    empty[:-1] = pair
-    empty[1:] |= pair
-    # a region holds the byte, a line break and two spaces per depth; a
-    # colon becomes ": " and an empty pair keeps its two bytes
-    cnt = runs[1::2]
-    np.cumsum(k == 1, out=cnt)
-    cnt -= np.cumsum(k == 2)
-    cnt *= 2
-    cnt += 2
-    cnt[empty] = 1
-    cnt[k == 4] = 2
-    out = np.full(int(runs.sum()) + 1, ord(" "), dtype=np.uint8)
-    out[-1] = ord("\n")
-    is_kept = np.zeros(runs.size, dtype=bool)
-    is_kept[::2] = True
-    out[:-1][np.repeat(is_kept, runs)] = kept
-    del is_kept, kept
-    ends = np.cumsum(runs, out=runs)  # region j spans [ends[2j], ends[2j + 1])
-    start, stop = ends[0:-1:2], ends[1::2]
-    lead = ((k == 1) | (k == 3)) & ~empty
-    out[start[lead]] = chars[lead]
-    out[start[lead] + 1] = ord("\n")
-    close = (k == 2) & ~empty
-    out[start[close]] = ord("\n")
-    out[stop[close] - 1] = chars[close]
-    plain = (k == 4) | empty
-    out[start[plain]] = chars[plain]
-    return str(out, "ascii")
+    text = repr(column.tolist())[1:-1]
+    if for_json:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text.split(", ") if text else []
 
 
-def _write_csv(path, header, rows) -> Path:
-    """Write a header row and the rows, each a list of cells, as one CSV file."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return _atomic_write_text(path, buf.getvalue())
+def _pair_columns(pairs, second=float) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a sequence of pairs: floats, then ``second``."""
+    first, other = tuple(zip(*pairs)) or ((), ())
+    return np.asarray(first, dtype=float), np.asarray(other, dtype=second)
+
+
+def _write_csv(path, header, columns) -> Path:
+    """Write a header row and the columns as one CSV file, a block of rows at a time.
+
+    A column is a numpy array (formatted through :func:`_cells`), a string
+    repeated on every row, or a list of ready cells.  Header names and string
+    cells are written as they are, so they must hold no comma, quote or line
+    break.
+    """
+    n = min(len(c) for c in columns if not isinstance(c, str))
+
+    def blocks():
+        yield ",".join(header) + "\r\n"
+        for lo in range(0, n, analysis.BLOCK_ROWS):
+            hi = lo + analysis.BLOCK_ROWS
+            cells = [
+                itertools.repeat(c) if isinstance(c, str)
+                else _cells(c[lo:hi]) if isinstance(c, np.ndarray) else c[lo:hi]
+                for c in columns
+            ]
+            yield "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
+    return _atomic_write(path, blocks())
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
     """One row per sample with the scalar diagnostics and the termination."""
     d = traj.diag
     columns = (traj.times, d.a0, d.sup_a, d.xs_norm, d.j_value, d.max_ratio, d.front_index,
-               d.holder_half)
-    # csv.writer formats a float through repr, as _f does, so the columns go in as they are
-    rows = zip(*(c.tolist() for c in columns), itertools.repeat(traj.termination.value))
-    return _write_csv(path, TRAJECTORY_HEADER, rows)
+               d.holder_half, traj.termination.value)
+    return _write_csv(path, TRAJECTORY_HEADER, columns)
 
 
 def read_trajectory_csv(path) -> list[dict]:
@@ -159,8 +130,7 @@ def write_state_csv(state: DyadicState, s: float, path) -> Path:
     """Dump ``k, a_k, b_k, b_{k,s}`` for every stored index."""
     b = slopes(state)
     bs = weighted_slopes(state, s)
-    rows = ([k, _f(state.a[k]), _f(b[k]), _f(bs[k])] for k in range(state.k + 1))
-    return _write_csv(path, STATE_HEADER, rows)
+    return _write_csv(path, STATE_HEADER, (np.arange(state.k + 1), state.a, b, bs))
 
 
 def read_state_csv(path) -> list[dict]:
@@ -174,7 +144,7 @@ def read_state_csv(path) -> list[dict]:
 
 def write_profile_csv(points, path) -> Path:
     """Profile reconstruction points as ``x,y`` rows."""
-    return _write_csv(path, PROFILE_HEADER, ([_f(x), _f(y)] for x, y in points))
+    return _write_csv(path, PROFILE_HEADER, _pair_columns(points))
 
 
 def read_profile_csv(path) -> list[tuple[float, float]]:
@@ -184,7 +154,7 @@ def read_profile_csv(path) -> list[tuple[float, float]]:
 
 def write_series_csv(rows, header, path) -> Path:
     """Two-column scalar series (e.g. ``t, xs_norm``) as CSV."""
-    return _write_csv(path, header, ([_f(x), _f(y)] for x, y in rows))
+    return _write_csv(path, header, _pair_columns(rows))
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:
@@ -206,7 +176,8 @@ def _report_obj(rep: InvariantReport) -> dict:
 
 
 def write_reports_json(reports, path) -> Path:
-    return _atomic_write_text(path, _json_text([_report_obj(r) for r in reports]))
+    text = json.dumps([_report_obj(r) for r in reports], indent=2)
+    return _atomic_write(path, (text, "\n"))
 
 
 def read_reports_json(path) -> list[InvariantReport]:
@@ -227,24 +198,50 @@ def read_reports_json(path) -> list[InvariantReport]:
     return out
 
 
+def _pairs_json(first: list[str], second: np.ndarray):
+    """Chunks of an indent-2 JSON list of ``[first, second]`` pairs at depth 1.
+
+    ``first`` holds ready cells; ``second`` is formatted a block at a time.
+    """
+    if not first:
+        yield "[]"
+        return
+    yield "["
+    for lo in range(0, len(first), analysis.BLOCK_ROWS):
+        hi = lo + analysis.BLOCK_ROWS
+        pairs = zip(first[lo:hi], _cells(second[lo:hi], for_json=True))
+        body = "\n    ],\n    [\n      ".join(map(",\n      ".join, pairs))
+        yield ("," if lo else "") + "\n    [\n      " + body + "\n    ]"
+    yield "\n  ]"
+
+
 def write_blowup_json(diag: BlowupDiagnostics, path) -> Path:
-    obj = {
-        "delta": diag.delta,
-        "j_series": [[t, j] for t, j in diag.j_series],
-        "riccati_t": diag.riccati_t,
-        "front_series": [[t, k] for t, k in diag.front_series],
-        "escape_time": diag.escape_time,
-    }
-    return _atomic_write_text(path, _json_text(obj))
+    """``json.dumps`` of the diagnostics at indent 2, with the series laid out from columns."""
+    t, j = _pair_columns(diag.j_series)
+    tf, front = _pair_columns(diag.front_series, np.int64)
+    t_cells = _cells(t, for_json=True)
+    # the front series shares the J series' times unless a bit differs
+    same_t = t.shape == tf.shape and (t.view(np.int64) == tf.view(np.int64)).all()
+    tf_cells = t_cells if same_t else _cells(tf, for_json=True)
+    skeleton = json.dumps({
+        "delta": diag.delta, "j_series": [], "riccati_t": diag.riccati_t,
+        "front_series": [], "escape_time": diag.escape_time,
+    }, indent=2)
+    head, mid, tail = skeleton.split("[]")
+    chunks = itertools.chain(
+        (head,), _pairs_json(t_cells, j), (mid,), _pairs_json(tf_cells, front), (tail, "\n"),
+    )
+    return _atomic_write(path, chunks)
 
 
 def write_scan_csv(rows, path) -> Path:
     """Sweep summary rows ``(alpha, K, max_norm, escape_time-or-None)``."""
-    cells = (
-        [_f(alpha), kk, _f(max_norm), "" if esc is None else _f(esc)]
-        for alpha, kk, max_norm, esc in rows
+    alpha, kk, max_norm, esc = tuple(zip(*rows)) or ((),) * 4
+    columns = (
+        np.asarray(alpha, dtype=float), np.asarray(kk, dtype=np.int64),
+        np.asarray(max_norm, dtype=float), ["" if e is None else repr(float(e)) for e in esc],
     )
-    return _write_csv(path, SCAN_HEADER, cells)
+    return _write_csv(path, SCAN_HEADER, columns)
 
 
 def read_scan_csv(path) -> list[tuple[float, int, float, Optional[float]]]:

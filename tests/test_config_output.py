@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 import re
@@ -8,6 +11,7 @@ import pytest
 
 from dyadicflow.model import DyadicState, ModelParams, Tail
 from dyadicflow.integrate import Scheme, StepControls, Termination, integrate
+from dyadicflow import analysis, output
 from dyadicflow.analysis import BlowupDiagnostics, InvariantReport, blowup_diagnostics
 from dyadicflow.config import (
     BumpScenario,
@@ -24,10 +28,9 @@ from dyadicflow.config import (
     save_config,
 )
 from dyadicflow.output import (
+    SCAN_HEADER,
+    STATE_HEADER,
     TRAJECTORY_HEADER,
-    _f,
-    _json_text,
-    _write_csv,
     read_profile_csv,
     read_reports_json,
     read_scan_csv,
@@ -37,9 +40,31 @@ from dyadicflow.output import (
     write_blowup_json,
     write_reports_json,
     write_scan_csv,
+    write_series_csv,
     write_trajectory_csv,
 )
 from dyadicflow.scenarios import gen_front, profile_reconstruction
+
+
+def csv_oracle(header, rows) -> bytes:
+    """Reference CSV bytes: ``csv.writer`` over cells that are ``repr`` per float."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + [
+        [repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows
+    ])
+    return buf.getvalue().encode()
+
+
+def trajectory_oracle(traj) -> bytes:
+    d = traj.diag
+    columns = (traj.times, d.a0, d.sup_a, d.xs_norm, d.j_value, d.max_ratio, d.front_index,
+               d.holder_half)
+    rows = [[*row, traj.termination.value] for row in zip(*(c.tolist() for c in columns))]
+    return csv_oracle(TRAJECTORY_HEADER, rows)
+
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
 @pytest.fixture
@@ -219,23 +244,29 @@ class TestOutputs:
             assert row["termination"] == traj.termination.value
 
     def test_trajectory_csv_matches_per_cell_repr(self, tmp_path):
-        # csv.writer formats floats through repr: the bytes of formatting
-        # each cell with _f; the constant state has no ratio at t = 0 (nan)
-        # and a roundoff ratio of -0.0 at t = 0.01
-        traj = integrate(ModelParams(alpha=0.3, trunc_k=8), DyadicState(t=0.0, a=[0.7] * 9),
-                         0.05, StepControls(record_every=0.01))
-        d = traj.diag
+        # the constant state has no ratio at t = 0 (nan) and a roundoff ratio
+        # of -0.0 at t = 0.01
+        const = integrate(ModelParams(alpha=0.3, trunc_k=8), DyadicState(t=0.0, a=[0.7] * 9),
+                          0.05, StepControls(record_every=0.01))
+        d = const.diag
         assert math.isnan(d.max_ratio[0]) and math.copysign(1.0, d.max_ratio[1]) == -1.0
-        columns = (traj.times, d.a0, d.sup_a, d.xs_norm, d.j_value, d.max_ratio, d.front_index,
-                   d.holder_half)
-        rows = (
-            [_f(t), _f(a), _f(sup), _f(xs), _f(j), _f(ratio), front, _f(h),
-             traj.termination.value]
-            for t, a, sup, xs, j, ratio, front, h in zip(*(c.tolist() for c in columns))
-        )
-        reference = _write_csv(tmp_path / "ref.csv", TRAJECTORY_HEADER, rows)
-        path = write_trajectory_csv(traj, tmp_path / "t.csv")
-        assert path.read_bytes() == reference.read_bytes()
+        # one sample (t_end == t0), and 2,001 samples: four blocks, the last partial
+        front = [
+            integrate(ModelParams(alpha=0.3, trunc_k=8), gen_front(8, 3, 1.2, 0.5), t_end,
+                      StepControls(record_every=1e-4, scheme=Scheme.EXPLICIT_ADAPTIVE))
+            for t_end in (0.0, 0.2)
+        ]
+        n = len(front[1].times)
+        assert len(front[0].times) == 1 and n > 2 * analysis.BLOCK_ROWS and n % analysis.BLOCK_ROWS
+        for traj in [const, *front]:
+            path = write_trajectory_csv(traj, tmp_path / "t.csv")
+            assert path.read_bytes() == trajectory_oracle(traj)
+
+    def test_series_csv_bytes(self, tmp_path):
+        # numpy scalars are written as the floats they hold
+        series = [(np.float64(0.1), np.float64(9.5)), (0.2, 1e-300), (0.3, np.nan)]
+        path = write_series_csv(series, ["t", "xs_norm"], tmp_path / "x.csv")
+        assert path.read_bytes() == csv_oracle(["t", "xs_norm"], [map(float, r) for r in series])
 
     def test_trajectory_diagnostics_recompute_from_state(self, tmp_path, traj):
         from dyadicflow.model import xs_norm
@@ -268,9 +299,15 @@ class TestOutputs:
         from dyadicflow.output import write_state_csv
 
         st_ = DyadicState(t=0.0, a=np.linspace(0.0, 1.0, 701))
-        rows = read_state_csv(write_state_csv(st_, 1.5, tmp_path / "s.csv"))
+        path = write_state_csv(st_, 1.5, tmp_path / "s.csv")
+        rows = read_state_csv(path)
         assert len(rows) == 701
         assert rows[682]["b_ks"] < math.inf and rows[683]["b_ks"] == math.inf
+        from dyadicflow.model import slopes, weighted_slopes
+
+        columns = (range(701), st_.a.tolist(), slopes(st_).tolist(),
+                   weighted_slopes(st_, 1.5).tolist())
+        assert path.read_bytes() == csv_oracle(STATE_HEADER, zip(*columns))
 
     def test_reports_round_trip(self, tmp_path):
         reps = [
@@ -291,9 +328,13 @@ class TestOutputs:
         rows = [
             (0.15, 12, 123.456, 0.75),
             (0.35, 12, 9.875, None),
+            (0.15, 16, math.inf, -0.0),
         ]
-        back = read_scan_csv(write_scan_csv(rows, tmp_path / "scan.csv"))
-        assert back == rows
+        path = write_scan_csv(rows, tmp_path / "scan.csv")
+        assert read_scan_csv(path) == rows
+        cells = [[a, k, m, "" if e is None else e] for a, k, m, e in rows]
+        assert path.read_bytes() == csv_oracle(SCAN_HEADER, cells)
+        assert write_scan_csv([], path).read_bytes() == csv_oracle(SCAN_HEADER, [])
 
     def test_save_outputs_files(self, tmp_path, traj):
         diag = blowup_diagnostics(traj)
@@ -305,19 +346,8 @@ class TestOutputs:
         assert blob["delta"] == traj.delta
         assert len(blob["j_series"]) == len(traj.times)
 
-    def test_json_layout_matches_indent_encoder(self, tmp_path):
+    def test_json_layout_matches_indent_encoder(self, tmp_path, traj):
         inf, nan = math.inf, math.nan
-        objects = [
-            {"delta": 0.5, "j_series": [[0.0, nan], [0.1, inf], [0.2, -inf], [0.3, -0.0]],
-             "riccati_t": None, "front_series": [[0.0, 3], [0.1, -4]], "escape_time": 1e300},
-            {"delta": 0.5, "j_series": [], "riccati_t": None, "front_series": [],
-             "escape_time": None},
-            # strings holding the bytes the layout acts on, nested empties
-            [{"name": 'x[1], {y}: "z"\\', "e": [[], {}, [[]]], "ok": True, "no": False}],
-            [], {}, 0, -0.0, nan, None, "a,b",
-        ]
-        for obj in objects:
-            assert _json_text(obj) == json.dumps(obj, indent=2) + "\n", obj
         diag = BlowupDiagnostics(0.5, ((0.0, -0.0), (0.25, inf), (0.5, nan)), None,
                                  ((0.0, 3), (0.5, 4)), 0.5)
         text = write_blowup_json(diag, tmp_path / "b.json").read_text()
@@ -331,6 +361,77 @@ class TestOutputs:
             "name": "a_check", "passed": False, "worst_margin": -inf,
             "worst_location": [0.5, None], "tolerance": 1e-9,
         }], indent=2) + "\n"
+        # special floats, negative front indices, None and NaN riccati_t, empty
+        # and single-pair series, more than two blocks, and a real run
+        diags = [
+            BlowupDiagnostics(0.5, (), None, (), None),
+            BlowupDiagnostics(0.5, ((0.0, 1.0),), 0.75, ((0.0, 3),), None),
+            BlowupDiagnostics(
+                -0.0, ((nan, 1e300), (inf, -inf), (-inf, nan), (-0.0, -0.0), (1e300, 5e-324)),
+                nan, ((nan, -1), (inf, -2), (-inf, 0), (-0.0, 7), (1e300, -30)), inf),
+            self._long_diag(),
+            blowup_diagnostics(traj),
+        ]
+        for diag in diags:
+            text = write_blowup_json(diag, tmp_path / "b.json").read_text()
+            assert text == json_oracle(dataclasses.asdict(diag))
+        names = ["monotone_nonneg", "max_principle", "sqrt2_structure", "riccati_identity"]
+        reps = analysis.run_checks(traj, names) + [
+            InvariantReport("nan_margin", False, nan, (inf, -3), 0.0),
+            InvariantReport("b_check", True, 1e300, (-0.0, None), 1e-10),
+        ]
+        for reports in ([], reps):
+            text = write_reports_json(reports, tmp_path / "r.json").read_text()
+            assert text == json_oracle([
+                {"name": r.name, "passed": r.passed, "worst_margin": r.worst_margin,
+                 "worst_location": list(r.worst_location), "tolerance": r.tolerance}
+                for r in reports
+            ])
+
+    @staticmethod
+    def _long_diag():
+        # more than two blocks; the front series differs from J's times in the
+        # sign of one zero, so each time column is formatted from its own values
+        rng = np.random.default_rng(14)
+        n = 2 * analysis.BLOCK_ROWS + 3
+        t = np.cumsum(rng.random(n)) * 10.0 ** rng.integers(-8, 8, n)
+        j = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        k = rng.integers(-30, 30, n)
+        j_series = tuple(zip([0.0, *t[1:].tolist()], j.tolist()))
+        front_series = tuple(zip([-0.0, *t[1:].tolist()], k.tolist()))
+        return BlowupDiagnostics(0.25, j_series, 1.5, front_series, float(t[-1]))
+
+    def test_failed_csv_write_leaves_no_file(self, tmp_path, traj, monkeypatch):
+        # formatting fails on the second block, after the first one went to the temp file
+        monkeypatch.setattr(analysis, "BLOCK_ROWS", 2)
+        cells, calls = output._cells, []
+        path = tmp_path / "t.csv"
+
+        def failing(column, **kw):
+            calls.append(column)
+            if len(calls) > 8:  # the first of the 8 numeric columns of block 2
+                assert path.with_name("t.csv.tmp").exists()
+                raise RuntimeError("formatting failed")
+            return cells(column, **kw)
+
+        monkeypatch.setattr(output, "_cells", failing)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            write_trajectory_csv(traj, path)
+        assert len(calls) == 9
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new,"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            output._atomic_write(path, chunks())
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
     def test_byte_identical_rewrites(self, tmp_path, traj):
         p1 = write_trajectory_csv(traj, tmp_path / "a.csv")
