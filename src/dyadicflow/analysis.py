@@ -105,14 +105,15 @@ class GoodBadDecomposition:
     ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlowupDiagnostics:
-    """Blow-up related series extracted from a trajectory."""
+    """Blow-up series of a trajectory as ``(n,)`` columns (its own arrays at its delta)."""
 
     delta: float
-    j_series: tuple[tuple[float, float], ...]
+    times: np.ndarray
+    j_value: np.ndarray
+    front_index: np.ndarray
     riccati_t: Optional[float]
-    front_series: tuple[tuple[float, int], ...]
     escape_time: Optional[float]
 
 
@@ -196,9 +197,13 @@ def j_functional(state: DyadicState, delta: float) -> float:
 
 
 def _j_values(a: np.ndarray, delta: float) -> list[float]:
-    """J of each row of a stacked block, each summed exactly (``math.fsum``)."""
-    terms = (a[:, -1:] - a[:, 1:]) * _xs_weights(a.shape[1], delta)
-    return [math.fsum(row.tolist()) for row in terms]
+    """J of each row of a stacked block, each summed exactly."""
+    return _row_fsums((a[:, -1:] - a[:, 1:]) * _xs_weights(a.shape[1], delta))
+
+
+def _row_fsums(terms: np.ndarray) -> list[float]:
+    """The exact sum (``math.fsum``) of each row of a 2-d block."""
+    return [math.fsum(row) for row in terms.tolist()]
 
 
 def goodbad_lower_constant(delta: float, c: float) -> float:
@@ -237,34 +242,30 @@ def good_bad(state: DyadicState, delta: float, c: Optional[float] = None) -> Goo
     )
 
 
-def _growth_run(js) -> tuple[int, int]:
+def _growth_run(js: np.ndarray) -> tuple[int, int]:
     """``(start, stop)`` of the strictly increasing run ending at the first maximum."""
     stop = int(np.argmax(js))
-    start = stop
-    while start > 0 and js[start - 1] < js[start]:
-        start -= 1
-    return start, stop
+    fails = np.concatenate([[True], ~(js[:stop] < js[1 : stop + 1])])
+    return int(np.flatnonzero(fails)[-1]), stop
 
 
-def riccati_fit(j_series) -> Optional[float]:
+def riccati_fit(times: np.ndarray, j_value: np.ndarray) -> Optional[float]:
     """Extrapolate a blow-up time from a J(t) series by fitting 1/J against t.
 
     Uses the trailing 35% (at least 3 points) of the strictly increasing run
-    ending at the series maximum.  Returns the root of the fitted line (where
-    1/J hits 0) when the slope is negative beyond the fit noise and lies
-    ahead of the data, else None.
+    of positive J ending at the series maximum.  Returns the root of the
+    fitted line (where 1/J hits 0) when the slope is negative beyond the fit
+    noise and lies ahead of the data, else None.
     """
-    pts = [(float(t), float(j)) for t, j in j_series if j > 0.0]
-    if len(pts) < 3:
+    pos = j_value > 0.0
+    t, j = times[pos], j_value[pos]
+    if len(j) < 3:
         return None
-    start, stop = _growth_run([j for _, j in pts])
-    run = pts[start : stop + 1]
-    if len(run) < 3:
+    start, stop = _growth_run(j)
+    if stop - start < 2:
         return None
-    window = run[-max(3, int(math.ceil(0.35 * len(run)))) :]
-
-    t = np.array([p[0] for p in window])
-    y = 1.0 / np.array([p[1] for p in window])
+    lo = stop + 1 - max(3, int(math.ceil(0.35 * (stop + 1 - start))))
+    t, y = t[lo : stop + 1], 1.0 / j[lo : stop + 1]
     tbar = t.mean()
     sxx = float(np.sum((t - tbar) ** 2))
     if sxx == 0.0:
@@ -272,7 +273,7 @@ def riccati_fit(j_series) -> Optional[float]:
     slope = float(np.sum((t - tbar) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * tbar)
     resid = y - (intercept + slope * t)
-    dof = max(len(window) - 2, 1)
+    dof = max(len(t) - 2, 1)
     se = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
     if slope >= 0.0 or abs(slope) <= 3.0 * se:
         return None
@@ -462,13 +463,11 @@ def _ordering_margins(prev: np.ndarray, cur: np.ndarray, tolerance: float) -> np
     return out
 
 
-def _j_series(traj, delta: Optional[float]) -> tuple[float, list[float], list[float]]:
+def _j_series(traj, delta: Optional[float]) -> tuple[float, np.ndarray]:
+    """``(delta, J column)``: the trajectory's own column at its delta, else recomputed."""
     if delta is None or delta == traj.delta:
-        delta = traj.delta
-        js = traj.diag.j_value.tolist()
-    else:
-        js = [j for _, a in _row_blocks(traj.states) for j in _j_values(a, delta)]
-    return delta, traj.times.tolist(), js
+        return traj.delta, traj.diag.j_value
+    return delta, np.concatenate([_j_values(a, delta) for _, a in _row_blocks(traj.states)])
 
 
 def fit_riccati_constants(traj, delta: Optional[float] = None) -> tuple[float, float]:
@@ -481,11 +480,10 @@ def fit_riccati_constants(traj, delta: Optional[float] = None) -> tuple[float, f
     then the smallest non-negative constant making the inequality hold at
     every interior sample of the whole run.  Both are empirical fits.
     """
-    delta, ts, js = _j_series(traj, delta)
-    if len(ts) < 3:
+    delta, j = _j_series(traj, delta)
+    t = traj.times
+    if len(t) < 3:
         raise DomainError("need at least 3 samples to fit Riccati constants")
-    t = np.asarray(ts)
-    j = np.asarray(js)
     fd = (j[2:] - j[:-2]) / (t[2:] - t[:-2])
     x = (j**2)[1:-1]
 
@@ -514,23 +512,21 @@ def riccati_inequality_check(traj, delta: Optional[float] = None) -> InvariantRe
     median sample spacing).  Dissipative runs: fits (C1, C2) and asserts
     C1 > 0, reporting the fitted constants via the log.
     """
-    delta, ts, js = _j_series(traj, delta)
+    delta, j = _j_series(traj, delta)
+    t = traj.times
     if traj.params.alpha > 0.0:
         c1, c2 = fit_riccati_constants(traj, delta)
         logger.info("riccati inequality fit: C1=%.6g C2=%.6g (delta=%g)", c1, c2, delta)
         return InvariantReport.from_margin(
-            "riccati_inequality_dissipative", c1, (ts[-1], None), 0.0
+            "riccati_inequality_dissipative", c1, (float(t[-1]), None), 0.0
         )
-    if len(ts) < 3:
+    if len(t) < 3:
         raise DomainError("need at least 3 samples for the identity check")
-    t = np.asarray(ts)
-    j = np.asarray(js)
     cadence = float(np.median(np.diff(t)))
     weight = _xs_weights(traj.states.shape[1], delta - 1.0)
     rhs = np.empty(len(t))
     for lo, a in _row_blocks(traj.states):
-        terms = _slopes_array(a)[:, 1:] ** 2 * weight
-        rhs[lo : lo + len(a)] = [math.fsum(row.tolist()) for row in terms]
+        rhs[lo : lo + len(a)] = _row_fsums(_slopes_array(a)[:, 1:] ** 2 * weight)
     rhs = rhs[1:-1]
     fd = (j[2:] - j[:-2]) / (t[2:] - t[:-2])
     resid = np.abs(fd - rhs) / (1.0 + np.abs(rhs))
@@ -542,12 +538,13 @@ def riccati_inequality_check(traj, delta: Optional[float] = None) -> InvariantRe
 
 def blowup_diagnostics(traj, delta: Optional[float] = None) -> BlowupDiagnostics:
     """Collect blow-up series (J, fitted T, front index, escape time)."""
-    delta, ts, js = _j_series(traj, delta)
+    delta, j = _j_series(traj, delta)
     return BlowupDiagnostics(
         delta=delta,
-        j_series=tuple(zip(ts, js)),
-        riccati_t=riccati_fit(list(zip(ts, js))),
-        front_series=tuple(zip(ts, traj.diag.front_index.tolist())),
+        times=traj.times,
+        j_value=j,
+        front_index=traj.diag.front_index,
+        riccati_t=riccati_fit(traj.times, j),
         escape_time=traj.escape_time,
     )
 

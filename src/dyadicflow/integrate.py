@@ -730,9 +730,10 @@ def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> Dyad
 
 def linear_semigroup_samples(
     params: ModelParams, state0: DyadicState, t_end: float, record_every: float
-) -> list[DyadicState]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The pure dissipative flow from ``state0`` for a time ``t_end``, on the record grid.
 
+    Returns the sample times (n,) and states (n, K+1), ``state0`` first.
     The grid is that of :func:`integrate`, so the last sample lies at
     ``state0.t + t_end``.  One ``exp(-record_every L)`` is built and applied
     once per record; a last gap shorter than ``record_every`` gets its own
@@ -746,14 +747,16 @@ def linear_semigroup_samples(
     rec, short = _record_times(state0.t, state0.t + t_end, record_every)
     full = rec[:-1] if short else rec
     step_op = _semigroup_matrix(params, record_every) if full else None
-    samples = [state0]
-    for t in full:
-        y = step_op @ y
-        samples.append(DyadicState(t=t, a=y))
+    times = np.array([state0.t, *rec])
+    states = np.empty((times.size, y.size))
+    states[0] = y
+    for i in range(1, len(full) + 1):
+        y = states[i] = step_op @ y
     if short:
-        y = _semigroup_matrix(params, rec[-1] - samples[-1].t) @ y
-        samples.append(DyadicState(t=rec[-1], a=y))
-    return samples
+        states[-1] = _semigroup_matrix(params, rec[-1] - times[-2]) @ y
+    if not np.isfinite(states).all():
+        raise InvalidInputError("state entries must all be finite")
+    return times, states
 
 
 def _semigroup_matrix(params: ModelParams, t: float) -> np.ndarray:

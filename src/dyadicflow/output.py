@@ -68,12 +68,6 @@ def _cells(column: np.ndarray, for_json: bool = False) -> list[str]:
     return text.split(", ") if text else []
 
 
-def _pair_columns(pairs, second=float) -> tuple[np.ndarray, np.ndarray]:
-    """The two columns of a sequence of pairs: floats, then ``second``."""
-    first, other = tuple(zip(*pairs)) or ((), ())
-    return np.asarray(first, dtype=float), np.asarray(other, dtype=second)
-
-
 def _write_csv(path, header, columns) -> Path:
     """Write a header row and the columns as one CSV file, a block of rows at a time.
 
@@ -142,9 +136,9 @@ def read_state_csv(path) -> list[dict]:
         ]
 
 
-def write_profile_csv(points, path) -> Path:
-    """Profile reconstruction points as ``x,y`` rows."""
-    return _write_csv(path, PROFILE_HEADER, _pair_columns(points))
+def write_profile_csv(columns, path) -> Path:
+    """Profile reconstruction columns ``(x, y)`` as ``x,y`` rows."""
+    return _write_csv(path, PROFILE_HEADER, columns)
 
 
 def read_profile_csv(path) -> list[tuple[float, float]]:
@@ -152,9 +146,9 @@ def read_profile_csv(path) -> list[tuple[float, float]]:
         return [(float(r["x"]), float(r["y"])) for r in csv.DictReader(fh)]
 
 
-def write_series_csv(rows, header, path) -> Path:
-    """Two-column scalar series (e.g. ``t, xs_norm``) as CSV."""
-    return _write_csv(path, header, _pair_columns(rows))
+def write_series_csv(columns, header, path) -> Path:
+    """Scalar series columns (e.g. ``(t, xs_norm)``) as CSV, one header name each."""
+    return _write_csv(path, header, columns)
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:
@@ -216,20 +210,16 @@ def _pairs_json(first: list[str], second: np.ndarray):
 
 
 def write_blowup_json(diag: BlowupDiagnostics, path) -> Path:
-    """``json.dumps`` of the diagnostics at indent 2, with the series laid out from columns."""
-    t, j = _pair_columns(diag.j_series)
-    tf, front = _pair_columns(diag.front_series, np.int64)
-    t_cells = _cells(t, for_json=True)
-    # the front series shares the J series' times unless a bit differs
-    same_t = t.shape == tf.shape and (t.view(np.int64) == tf.view(np.int64)).all()
-    tf_cells = t_cells if same_t else _cells(tf, for_json=True)
+    """``json.dumps`` of the diagnostics at indent 2; both series share one time column."""
+    t_cells = _cells(diag.times, for_json=True)
     skeleton = json.dumps({
         "delta": diag.delta, "j_series": [], "riccati_t": diag.riccati_t,
         "front_series": [], "escape_time": diag.escape_time,
     }, indent=2)
     head, mid, tail = skeleton.split("[]")
     chunks = itertools.chain(
-        (head,), _pairs_json(t_cells, j), (mid,), _pairs_json(tf_cells, front), (tail, "\n"),
+        (head,), _pairs_json(t_cells, diag.j_value), (mid,),
+        _pairs_json(t_cells, diag.front_index), (tail, "\n"),
     )
     return _atomic_write(path, chunks)
 

@@ -73,11 +73,10 @@ def gen_geometric(kmax: int, rate: float) -> DyadicState:
     return DyadicState(t=0.0, a=g / g[-1])
 
 
-def profile_reconstruction(state: DyadicState) -> list[tuple[float, float]]:
-    """Points ``(2**-k, a_k)`` in increasing x, ready for linear interpolation.
+def profile_reconstruction(state: DyadicState) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``x = 2**-k`` and ``y = a_k`` in increasing x, ready for linear interpolation.
 
     This is the piecewise-linear reconstruction of the profile the sequence
     approximates, with ``a_k`` placed at the dyadic point ``2**-k``.
     """
-    kmax = state.k
-    return [(float(2.0**-k), float(state.a[k])) for k in range(kmax, -1, -1)]
+    return np.ldexp(1.0, -np.arange(state.k, -1, -1)), state.a[::-1]

@@ -253,7 +253,7 @@ def test_criterion_07_inviscid_blowup_proxy():
     for kmax in (12, 16, 20):
         p = ModelParams(alpha=0.0, trunc_k=kmax, norm_s=1.5)
         traj = integrate(p, gen_bump(kmax), 6.0, c, delta=0.5, escape_threshold=1e30)
-        fits[kmax] = riccati_fit(list(zip(traj.times, traj.diag.j_value)))
+        fits[kmax] = riccati_fit(traj.times, traj.diag.j_value)
         max_norms[kmax] = traj.max_xs_norm()
     finite = all(t is not None and math.isfinite(t) for t in fits.values())
     ts = list(fits.values())
@@ -328,7 +328,7 @@ def test_criterion_09_dichotomy_scan():
         delta=0.5,
         escape_threshold=1e30,
     )
-    t_fit = riccati_fit(list(zip(traj_inv.times, traj_inv.diag.j_value)))
+    t_fit = riccati_fit(traj_inv.times, traj_inv.diag.j_value)
     assert t_fit is not None and base.t_end > t_fit
 
     spec = SweepSpec(alphas=(0.15, 0.35), ks=(12, 16, 20), base=base)

@@ -210,18 +210,18 @@ class TestGoodBad:
 class TestRiccatiFit:
     def test_exact_riccati_series(self):
         ts = np.linspace(0.0, 1.5, 40)
-        series = [(t, 1.0 / (2.0 - t)) for t in ts]
-        fit = riccati_fit(series)
+        fit = riccati_fit(ts, 1.0 / (2.0 - ts))
         assert fit == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_series_none(self):
-        assert riccati_fit([(t, 1.0) for t in np.linspace(0, 1, 10)]) is None
+        assert riccati_fit(np.linspace(0, 1, 10), np.ones(10)) is None
 
     def test_too_few_points_none(self):
-        assert riccati_fit([(0.0, 1.0), (0.1, 2.0)]) is None
+        assert riccati_fit(np.array([0.0, 0.1]), np.array([1.0, 2.0])) is None
 
     def test_decreasing_series_none(self):
-        assert riccati_fit([(t, 2.0 - t) for t in np.linspace(0, 1, 10)]) is None
+        ts = np.linspace(0, 1, 10)
+        assert riccati_fit(ts, 2.0 - ts) is None
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +327,7 @@ class TestTrajectoryChecks:
         p = ModelParams(alpha=0.0, trunc_k=16, norm_s=1.5)
         c = StepControls(rel_tol=1e-10, abs_tol=1e-13, record_every=0.01)
         probe = integrate(p, gen_front(16, 4, 1.2, 0.5), 2.0, c, escape_threshold=1e30)
-        t_fit = riccati_fit(list(zip(probe.times, probe.diag.j_value)))
+        t_fit = riccati_fit(probe.times, probe.diag.j_value)
         assert t_fit is not None
         traj = integrate(p, gen_front(16, 4, 1.2, 0.5), 0.9 * t_fit, c,
                          escape_threshold=1e30)
@@ -353,9 +353,13 @@ class TestTrajectoryChecks:
     def test_blowup_diagnostics_collection(self, inviscid_traj):
         diag = blowup_diagnostics(inviscid_traj)
         assert diag.delta == inviscid_traj.delta
-        assert len(diag.j_series) == len(inviscid_traj.times)
-        assert all(j >= 0.0 for _, j in diag.j_series)
-        fronts = [k for _, k in diag.front_series]
+        assert len(diag.j_value) == len(diag.times) == len(inviscid_traj.times)
+        # the trajectory's own columns, not copies
+        assert diag.times is inviscid_traj.times
+        assert diag.j_value is inviscid_traj.diag.j_value
+        assert diag.front_index is inviscid_traj.diag.front_index
+        assert all(j >= 0.0 for j in diag.j_value)
+        fronts = diag.front_index.tolist()
         assert all(f1 >= f0 for f0, f1 in zip(fronts, fronts[1:]))
 
     def test_checks_registry(self, dissipative_traj):

@@ -193,6 +193,14 @@ def _loop_j_series(traj, delta):
     return [_loop_j_functional(a, delta) for _, a in _samples(traj)]
 
 
+def _loop_growth_run(js):
+    stop = int(np.argmax(js))
+    start = stop
+    while start > 0 and js[start - 1] < js[start]:
+        start -= 1
+    return start, stop
+
+
 def _loop_fit_riccati_constants(traj, delta):
     t = np.array([t for t, _ in _samples(traj)])
     j = np.array(_loop_j_series(traj, delta))
@@ -437,8 +445,8 @@ class TestChecks:
         monkeypatch.setattr(analysis, "BLOCK_ROWS", block)
         for name in ("bump20", "front", "k2"):
             traj = trajectories[name]
-            _, _, js = analysis._j_series(traj, 0.3)
-            assert repr(js) == repr(_loop_j_series(traj, 0.3))
+            _, js = analysis._j_series(traj, 0.3)
+            assert repr(js.tolist()) == repr(_loop_j_series(traj, 0.3))
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("delta", [0.3, 0.5])
@@ -485,6 +493,29 @@ class TestChecks:
             tracemalloc.stop()
         assert all(r.passed for r in reports)
         assert peak <= 2e6
+
+
+class TestGrowthRun:
+    @pytest.mark.parametrize("js", [
+        [1.0, 2.0, 2.0, 3.0, 1.0],  # a tie ends the run
+        [3.0, 3.0],
+        [1.0, math.nan, 2.0, 3.0],  # NaN is the maximum
+        [1.0, 2.0, 3.0, math.nan, 4.0],
+        [math.nan, 1.0],
+        [5.0, 1.0, 2.0],  # maximum at index 0
+        [3.0],
+        [1.0, 2.0, 3.0, 4.0],  # strictly increasing
+        [4.0, 1.0, 2.0, 3.0],
+    ])
+    def test_cases(self, js):
+        js = np.array(js)
+        assert analysis._growth_run(js) == _loop_growth_run(js)
+
+    def test_random_small_integers(self, rng):
+        for _ in range(300):
+            js = rng.integers(0, 4, int(rng.integers(1, 12))).astype(float)
+            js[rng.random(js.size) < 0.1] = math.nan
+            assert analysis._growth_run(js) == _loop_growth_run(js)
 
 
 class TestDetectEscape:

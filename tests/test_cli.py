@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dyadicflow
+from dyadicflow import cli
 from dyadicflow.cli import main, run_scan, run_simulation
 from dyadicflow.config import (
     FrontScenario,
@@ -86,11 +87,17 @@ class TestSimulate:
         assert os.path.exists(prefix + "_trajectory.csv")
 
     def test_rerun_byte_identical(self, tmp_path):
+        # every simulate file and the semigroup CSV
         path, cfg = write_cfg(tmp_path)
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
-        first = open(cfg.output_prefix + "_trajectory.csv", "rb").read()
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 0
-        assert open(cfg.output_prefix + "_trajectory.csv", "rb").read() == first
+        suffixes = ("_trajectory.csv", "_state.csv", "_profile.csv", "_reports.json",
+                    "_blowup.json", "_semigroup.csv")
+
+        def run():
+            assert main(["simulate", "--config", str(path), "--quiet"]) == 0
+            assert main(["semigroup", "--config", str(path), "--quiet"]) == 0
+            return {s: open(cfg.output_prefix + s, "rb").read() for s in suffixes}
+
+        assert run() == run()
 
 
 class TestCheck:
@@ -195,6 +202,21 @@ class TestSemigroup:
         assert [t for t, _ in series][-2:] == [3 * 0.3, 1.0]
         ref = linear_semigroup(cfg.params, build_initial_state(cfg.scenario, 8), 1.0)
         assert abs(series[-1][1] - xs_norm(ref, 1.5)) <= 1e-12
+
+    @pytest.mark.parametrize("rise, code, verdict", [
+        (1e-6, 3, "NORM INCREASED"),
+        (1e-10, 0, "contracting"),  # within the 1e-9 slack
+    ])
+    def test_norm_increase_exit_code(self, tmp_path, monkeypatch, capsys, rise, code, verdict):
+        # constant states: the X^s norm is the constant itself
+        states = np.array([[0.5] * 9, [0.5 + rise] * 9])
+        monkeypatch.setattr(cli, "linear_semigroup_samples",
+                            lambda *args: (np.array([0.0, 0.1]), states))
+        path, cfg = write_cfg(tmp_path)
+        assert main(["semigroup", "--config", str(path)]) == code
+        assert verdict in capsys.readouterr().out
+        series = read_series_csv(cfg.output_prefix + "_semigroup.csv")
+        assert series == [(0.0, 0.5), (0.1, 0.5 + rise)]
 
     def test_alpha_zero_unsupported_exit_one(self, tmp_path):
         path, _ = write_cfg(tmp_path, params=ModelParams(alpha=0.0, trunc_k=8))

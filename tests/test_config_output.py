@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -65,6 +64,23 @@ def trajectory_oracle(traj) -> bytes:
 
 def json_oracle(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def blowup_obj(diag) -> dict:
+    """The blow-up JSON object, its series paired up from the columns."""
+    t = diag.times.tolist()
+    return {
+        "delta": diag.delta, "j_series": list(zip(t, diag.j_value.tolist())),
+        "riccati_t": diag.riccati_t, "front_series": list(zip(t, diag.front_index.tolist())),
+        "escape_time": diag.escape_time,
+    }
+
+
+def blowup_diag(delta, t, j, k, riccati_t, escape_time) -> BlowupDiagnostics:
+    return BlowupDiagnostics(
+        delta=delta, times=np.array(t, dtype=float), j_value=np.array(j, dtype=float),
+        front_index=np.array(k, dtype=np.int64), riccati_t=riccati_t, escape_time=escape_time,
+    )
 
 
 @pytest.fixture
@@ -263,9 +279,9 @@ class TestOutputs:
             assert path.read_bytes() == trajectory_oracle(traj)
 
     def test_series_csv_bytes(self, tmp_path):
-        # numpy scalars are written as the floats they hold
-        series = [(np.float64(0.1), np.float64(9.5)), (0.2, 1e-300), (0.3, np.nan)]
-        path = write_series_csv(series, ["t", "xs_norm"], tmp_path / "x.csv")
+        columns = (np.array([0.1, 0.2, 0.3]), np.array([9.5, 1e-300, np.nan]))
+        series = list(zip(*columns))
+        path = write_series_csv(columns, ["t", "xs_norm"], tmp_path / "x.csv")
         assert path.read_bytes() == csv_oracle(["t", "xs_norm"], [map(float, r) for r in series])
 
     def test_trajectory_diagnostics_recompute_from_state(self, tmp_path, traj):
@@ -320,9 +336,9 @@ class TestOutputs:
     def test_profile_round_trip(self, tmp_path, traj):
         from dyadicflow.output import write_profile_csv
 
-        pts = profile_reconstruction(traj.final_state)
-        back = read_profile_csv(write_profile_csv(pts, tmp_path / "p.csv"))
-        assert back == pts
+        x, y = profile_reconstruction(traj.final_state)
+        back = read_profile_csv(write_profile_csv((x, y), tmp_path / "p.csv"))
+        assert back == list(zip(x.tolist(), y.tolist()))
 
     def test_scan_round_trip(self, tmp_path):
         rows = [
@@ -348,12 +364,11 @@ class TestOutputs:
 
     def test_json_layout_matches_indent_encoder(self, tmp_path, traj):
         inf, nan = math.inf, math.nan
-        diag = BlowupDiagnostics(0.5, ((0.0, -0.0), (0.25, inf), (0.5, nan)), None,
-                                 ((0.0, 3), (0.5, 4)), 0.5)
+        diag = blowup_diag(0.5, [0.0, 0.25, 0.5], [-0.0, inf, nan], [3, 4, 4], None, 0.5)
         text = write_blowup_json(diag, tmp_path / "b.json").read_text()
         assert text == json.dumps({
             "delta": 0.5, "j_series": [[0.0, -0.0], [0.25, inf], [0.5, nan]], "riccati_t": None,
-            "front_series": [[0.0, 3], [0.5, 4]], "escape_time": 0.5,
+            "front_series": [[0.0, 3], [0.25, 4], [0.5, 4]], "escape_time": 0.5,
         }, indent=2) + "\n"
         reps = [InvariantReport("a_check", False, -inf, (0.5, None), 1e-9)]
         text = write_reports_json(reps, tmp_path / "r.json").read_text()
@@ -364,17 +379,17 @@ class TestOutputs:
         # special floats, negative front indices, None and NaN riccati_t, empty
         # and single-pair series, more than two blocks, and a real run
         diags = [
-            BlowupDiagnostics(0.5, (), None, (), None),
-            BlowupDiagnostics(0.5, ((0.0, 1.0),), 0.75, ((0.0, 3),), None),
-            BlowupDiagnostics(
-                -0.0, ((nan, 1e300), (inf, -inf), (-inf, nan), (-0.0, -0.0), (1e300, 5e-324)),
-                nan, ((nan, -1), (inf, -2), (-inf, 0), (-0.0, 7), (1e300, -30)), inf),
+            blowup_diag(0.5, [], [], [], None, None),
+            blowup_diag(0.5, [0.0], [1.0], [3], 0.75, None),
+            blowup_diag(
+                -0.0, [nan, inf, -inf, -0.0, 1e300], [1e300, -inf, nan, -0.0, 5e-324],
+                [-1, -2, 0, 7, -30], nan, inf),
             self._long_diag(),
             blowup_diagnostics(traj),
         ]
         for diag in diags:
             text = write_blowup_json(diag, tmp_path / "b.json").read_text()
-            assert text == json_oracle(dataclasses.asdict(diag))
+            assert text == json_oracle(blowup_obj(diag))
         names = ["monotone_nonneg", "max_principle", "sqrt2_structure", "riccati_identity"]
         reps = analysis.run_checks(traj, names) + [
             InvariantReport("nan_margin", False, nan, (inf, -3), 0.0),
@@ -390,16 +405,13 @@ class TestOutputs:
 
     @staticmethod
     def _long_diag():
-        # more than two blocks; the front series differs from J's times in the
-        # sign of one zero, so each time column is formatted from its own values
+        # more than two blocks of both series on one time column
         rng = np.random.default_rng(14)
         n = 2 * analysis.BLOCK_ROWS + 3
         t = np.cumsum(rng.random(n)) * 10.0 ** rng.integers(-8, 8, n)
         j = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         k = rng.integers(-30, 30, n)
-        j_series = tuple(zip([0.0, *t[1:].tolist()], j.tolist()))
-        front_series = tuple(zip([-0.0, *t[1:].tolist()], k.tolist()))
-        return BlowupDiagnostics(0.25, j_series, 1.5, front_series, float(t[-1]))
+        return blowup_diag(0.25, t, j, k, 1.5, float(t[-1]))
 
     def test_failed_csv_write_leaves_no_file(self, tmp_path, traj, monkeypatch):
         # formatting fails on the second block, after the first one went to the temp file

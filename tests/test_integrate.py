@@ -630,11 +630,12 @@ class TestLinearSemigroup:
     def test_samples_match_single_applications(self):
         p = ModelParams(alpha=0.35, trunc_k=10)
         s = gen_front(10, 4, 1.2, 0.5)
-        samples = linear_semigroup_samples(p, s, 0.5, 0.1)
-        assert [x.t for x in samples] == [j * 0.1 for j in range(6)]
-        np.testing.assert_array_equal(samples[0].a, s.a)
-        for x in samples[1:]:
-            np.testing.assert_allclose(x.a, linear_semigroup(p, s, x.t).a, rtol=1e-12)
+        times, states = linear_semigroup_samples(p, s, 0.5, 0.1)
+        assert times.tolist() == [j * 0.1 for j in range(6)]
+        assert states.shape == (6, 11)
+        np.testing.assert_array_equal(states[0], s.a)
+        for t, a in zip(times[1:], states[1:]):
+            np.testing.assert_allclose(a, linear_semigroup(p, s, t).a, rtol=1e-12)
         with pytest.raises(DomainError):
             linear_semigroup_samples(ModelParams(alpha=0.0, trunc_k=10), s, 0.5, 0.1)
 
@@ -644,10 +645,10 @@ class TestLinearSemigroup:
     def test_samples_end_at_off_cadence_t_end(self, t_end, times):
         p = ModelParams(alpha=0.3, trunc_k=8)
         s = gen_front(8, 3, 1.2, 0.5)
-        samples = linear_semigroup_samples(p, s, t_end, 0.3)
-        assert [x.t for x in samples] == times
-        for x in samples[1:]:
-            np.testing.assert_allclose(x.a, linear_semigroup(p, s, x.t).a, rtol=0, atol=1e-12)
+        got, states = linear_semigroup_samples(p, s, t_end, 0.3)
+        assert got.tolist() == times
+        for t, a in zip(got[1:], states[1:]):
+            np.testing.assert_allclose(a, linear_semigroup(p, s, t).a, rtol=0, atol=1e-12)
 
 
 class TestEdgeInputs:
