@@ -19,7 +19,9 @@ closed form ``(L a)_k = sum_{j<=k} P_j d_j - w_k S_k`` with
 ``w_k = 2**(2*alpha*k)``, ``P_k = sum_{n<k} w_n`` and
 ``S_k = sum_{j>k} 2**(k-j+1) d_j``.  The O(K) evaluation and the dense
 matrix both take ``w`` and ``P`` from one helper; the direct double sum is
-the reference.
+the reference.  The O(K) kernel's banded solve is LAPACK ``dtbtrs``, imported
+from scipy on the kernel's first call: the integrators use the dense matrix
+and never call the kernel, so importing this module does not load scipy.
 
 Everything in this module is a pure function of immutable values.
 """
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 
 class InvalidInputError(ValueError):
@@ -207,6 +208,14 @@ def _operator_weights(size: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return w, np.concatenate([[0.0], np.cumsum(w[:-1])])
 
 
+@functools.cache
+def _dtbtrs():
+    """LAPACK ``dtbtrs``, imported from scipy on the first call and bound once."""
+    from scipy.linalg.lapack import dtbtrs
+
+    return dtbtrs
+
+
 def _dissipation_array(a: np.ndarray, alpha: float, tail: Tail) -> np.ndarray:
     kmax = a.size - 1
     w, p = _operator_weights(a.size, alpha)
@@ -216,7 +225,7 @@ def _dissipation_array(a: np.ndarray, alpha: float, tail: Tail) -> np.ndarray:
     # S from the unit upper bidiagonal system S_k - S_{k+1}/2 = d_{k+1}, S_K = 0;
     # LAPACK directly, without solve_banded's fixed cost
     band = np.array([np.full(kmax, -0.5), np.ones(kmax)])
-    s, info = dtbtrs(band, d, uplo="U")
+    s, info = _dtbtrs()(band, d, uplo="U")
     if info != 0:
         raise np.linalg.LinAlgError(f"banded solve failed (LAPACK dtbtrs info {info})")
     out[:-1] -= w[:-1] * s

@@ -8,7 +8,9 @@ needs quoting), and the JSON files are the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, NaN and infinities written as
 ``NaN`` and ``Infinity`` as the json module writes them.  Columns are
 formatted and written :data:`~dyadicflow.analysis.BLOCK_ROWS` rows at a time,
-except the blow-up JSON's time column, formatted whole for its two series.
+except the blow-up JSON's time column, formatted whole for its two series,
+and the time and J columns that :func:`save_outputs` formats whole, once for
+both the trajectory CSV and the blow-up JSON.
 Writes go through a temp-file rename, so partially written outputs never
 appear, and nothing time- or host-dependent is emitted (re-running a command
 with the same inputs reproduces byte-identical files).
@@ -57,14 +59,9 @@ def _atomic_write(path, chunks) -> Path:
     return path
 
 
-def _cells(column: np.ndarray, for_json: bool = False) -> list[str]:
-    """``repr`` of each value of a numpy column, from one ``repr`` of its list.
-
-    With ``for_json``, NaN and infinities read ``NaN`` and ``Infinity``.
-    """
+def _cells(column: np.ndarray) -> list[str]:
+    """``repr`` of each value of a numpy column, from one ``repr`` of its list."""
     text = repr(column.tolist())[1:-1]
-    if for_json:
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text.split(", ") if text else []
 
 
@@ -92,10 +89,14 @@ def _write_csv(path, header, columns) -> Path:
     return _atomic_write(path, blocks())
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> Path:
-    """One row per sample with the scalar diagnostics and the termination."""
+def write_trajectory_csv(traj: Trajectory, path, times=None, j_value=None) -> Path:
+    """One row per sample with the scalar diagnostics and the termination.
+
+    ``times`` and ``j_value``, if given, are the ready cells of those columns.
+    """
     d = traj.diag
-    columns = (traj.times, d.a0, d.sup_a, d.xs_norm, d.j_value, d.max_ratio, d.front_index,
+    columns = (traj.times if times is None else times, d.a0, d.sup_a, d.xs_norm,
+               d.j_value if j_value is None else j_value, d.max_ratio, d.front_index,
                d.holder_half, traj.termination.value)
     return _write_csv(path, TRAJECTORY_HEADER, columns)
 
@@ -192,10 +193,12 @@ def read_reports_json(path) -> list[InvariantReport]:
     return out
 
 
-def _pairs_json(first: list[str], second: np.ndarray):
+def _pairs_json(first: list[str], second):
     """Chunks of an indent-2 JSON list of ``[first, second]`` pairs at depth 1.
 
-    ``first`` holds ready cells; ``second`` is formatted a block at a time.
+    ``first`` holds ready ``repr`` cells; ``second`` holds them too, or is a
+    numpy column formatted a block at a time.  NaN and infinities are spelled
+    ``NaN`` and ``Infinity``, as the json module writes them.
     """
     if not first:
         yield "[]"
@@ -203,22 +206,27 @@ def _pairs_json(first: list[str], second: np.ndarray):
     yield "["
     for lo in range(0, len(first), analysis.BLOCK_ROWS):
         hi = lo + analysis.BLOCK_ROWS
-        pairs = zip(first[lo:hi], _cells(second[lo:hi], for_json=True))
-        body = "\n    ],\n    [\n      ".join(map(",\n      ".join, pairs))
-        yield ("," if lo else "") + "\n    [\n      " + body + "\n    ]"
+        cells = second[lo:hi] if isinstance(second, list) else _cells(second[lo:hi])
+        body = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(first[lo:hi], cells)))
+        chunk = ("," if lo else "") + "\n    [\n      " + body + "\n    ]"
+        yield chunk.replace("nan", "NaN").replace("inf", "Infinity")
     yield "\n  ]"
 
 
-def write_blowup_json(diag: BlowupDiagnostics, path) -> Path:
-    """``json.dumps`` of the diagnostics at indent 2; both series share one time column."""
-    t_cells = _cells(diag.times, for_json=True)
+def write_blowup_json(diag: BlowupDiagnostics, path, times=None, j_value=None) -> Path:
+    """``json.dumps`` of the diagnostics at indent 2; both series share one time column.
+
+    ``times`` and ``j_value``, if given, are the ready cells of those columns.
+    """
+    t_cells = _cells(diag.times) if times is None else times
+    j_value = diag.j_value if j_value is None else j_value
     skeleton = json.dumps({
         "delta": diag.delta, "j_series": [], "riccati_t": diag.riccati_t,
         "front_series": [], "escape_time": diag.escape_time,
     }, indent=2)
     head, mid, tail = skeleton.split("[]")
     chunks = itertools.chain(
-        (head,), _pairs_json(t_cells, diag.j_value), (mid,),
+        (head,), _pairs_json(t_cells, j_value), (mid,),
         _pairs_json(t_cells, diag.front_index), (tail, "\n"),
     )
     return _atomic_write(path, chunks)
@@ -253,12 +261,17 @@ def save_outputs(traj: Trajectory, reports, diagnostics, prefix) -> dict[str, Pa
     final = traj.final_state
     from dyadicflow.scenarios import profile_reconstruction
 
+    t_cells, j_cells = _cells(traj.times), _cells(traj.diag.j_value)
     paths = {
-        "trajectory": write_trajectory_csv(traj, prefix + "_trajectory.csv"),
+        "trajectory": write_trajectory_csv(traj, prefix + "_trajectory.csv", t_cells, j_cells),
         "state": write_state_csv(final, traj.params.norm_s, prefix + "_state.csv"),
         "profile": write_profile_csv(profile_reconstruction(final), prefix + "_profile.csv"),
         "reports": write_reports_json(reports, prefix + "_reports.json"),
     }
     if diagnostics is not None:
-        paths["blowup"] = write_blowup_json(diagnostics, prefix + "_blowup.json")
+        paths["blowup"] = write_blowup_json(
+            diagnostics, prefix + "_blowup.json",
+            t_cells if diagnostics.times is traj.times else None,
+            j_cells if diagnostics.j_value is traj.diag.j_value else None,
+        )
     return paths

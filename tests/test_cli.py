@@ -257,10 +257,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.count("\n") == 1
 
-    def test_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal alone takes longer to import than the whole package
-        proc = run_child(
-            "-c", "import sys, dyadicflow.cli; print('scipy.signal' in sys.modules)"
+    def test_runs_without_scipy(self, tmp_path):
+        # importing scipy.linalg takes longer than an inviscid run: only the
+        # IMEX scheme, semigroup and the O(K) dissipation kernel may load it.
+        # With sys.modules["scipy"] = None any scipy import raises, and main
+        # turns the error into exit code 1.
+        inviscid, _ = write_cfg(
+            tmp_path, name="inviscid.cfg",
+            params=ModelParams(alpha=0.0, trunc_k=10),
+            controls=StepControls(record_every=0.05),
+            t_end=0.2,
+            checks=("monotone_nonneg", "max_principle", "ordering_inviscid",
+                    "riccati_identity"),
         )
-        assert proc.returncode == 0
-        assert proc.stdout == "False\n"
+        explicit, _ = write_cfg(tmp_path, name="explicit.cfg")
+        _, spec = TestScan().make_sweep(tmp_path)
+        sweep = tmp_path / "sweep.cfg"
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from dyadicflow.cli import main\n"
+            "rcs = [main([cmd, '--config', path, '--quiet']) for cmd, path in\n"
+            "       [('simulate', sys.argv[1]), ('simulate', sys.argv[2]), ('scan', sys.argv[3])]]\n"
+            "print(rcs, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        proc = run_child("-c", code, str(inviscid), str(explicit), str(sweep))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0] ['scipy']\n", proc.stderr
+        assert len(read_scan_csv(spec.base.output_prefix + "_scan.csv")) == 4

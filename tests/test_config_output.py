@@ -362,6 +362,31 @@ class TestOutputs:
         assert blob["delta"] == traj.delta
         assert len(blob["j_series"]) == len(traj.times)
 
+    @pytest.mark.parametrize("delta", [None, 0.3])
+    def test_save_outputs_formats_time_and_j_once(self, tmp_path, traj, monkeypatch, delta):
+        # the trajectory CSV and the blow-up JSON share the cells of the time
+        # column, and of the J column when the diagnostics are at the
+        # trajectory's own delta; at another delta the JSON formats its own J
+        diag = blowup_diagnostics(traj, delta)
+        assert (diag.j_value is traj.diag.j_value) == (delta is None)
+        cells, calls = output._cells, []
+        monkeypatch.setattr(output, "_cells", lambda c: calls.append(c) or cells(c))
+        paths = save_outputs(traj, [], diag, tmp_path / "run")
+        assert paths["trajectory"].read_bytes() == trajectory_oracle(traj)
+        assert paths["blowup"].read_text() == json_oracle(blowup_obj(diag))
+        assert sum(np.shares_memory(c, traj.times) for c in calls) == 1
+        assert sum(np.shares_memory(c, traj.diag.j_value) for c in calls) == 1
+        assert sum(np.shares_memory(c, diag.j_value) for c in calls) == 1
+
+    def test_blowup_json_from_ready_cells(self, tmp_path):
+        # repr cells, NaN and infinities included, give the bytes of the columns
+        inf, nan = math.inf, math.nan
+        diag = blowup_diag(0.5, [nan, inf, -inf, -0.0, 1e300], [1e300, -inf, nan, -0.0, 5e-324],
+                           [-1, -2, 0, 7, -30], nan, inf)
+        ready = write_blowup_json(diag, tmp_path / "b.json", output._cells(diag.times),
+                                  output._cells(diag.j_value))
+        assert ready.read_text() == json_oracle(blowup_obj(diag))
+
     def test_json_layout_matches_indent_encoder(self, tmp_path, traj):
         inf, nan = math.inf, math.nan
         diag = blowup_diag(0.5, [0.0, 0.25, 0.5], [-0.0, inf, nan], [3, 4, 4], None, 0.5)
