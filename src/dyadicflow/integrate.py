@@ -19,19 +19,25 @@ Three schemes are provided:
   than the fastest dissipative rate.  The nonlinearity at the new state is
   the first stage of the next attempt (first same as last) and gives an
   O(h**4) error estimate, so an attempt costs four right-hand sides and the
-  error follows the tolerance.  Its step sizes are rounded down to the
-  ladder ``record_every * 2**-j``, so each exponential table is built once
-  per run and size, not per attempt; the half step of a rung is the next
-  rung.  At alpha = 0 it steps with a zero linear part, where it is
+  error follows the tolerance.  Its step sizes, ``dt_init`` and the
+  landings on record times included, are whole rungs of the ladder
+  ``record_every * 2**-j``, so each exponential table is built once per run
+  and rung, not per attempt; the half step of a rung is the next rung.
+  Only a last record gap shorter than the cadence ends on a step of its own
+  size.  At alpha = 0 it steps with a zero linear part, where it is
   classical RK4.
 * ``REFERENCE_FIXED_RK4`` -- classical fixed-step RK4 with compensated
   (Kahan) state accumulation, used as a cross-validation reference.
 
 The default for dissipative runs is the IMEX scheme.  :func:`step` and
-:func:`integrate` share one step-size controller, :func:`_attempt`; it
-snaps the proposals of a stepper whose ``ladder`` attribute is set.  The
-two schemes without a continuous extension, IMEX and RK4, land a step on
-every record time.
+:func:`integrate` share one step-size controller, :func:`_attempt`; for a
+stepper whose ``ladder`` attribute is set it rounds the proposals down to a
+rung by :func:`_rung`, which also rounds ``dt_init`` and the ``dt`` given
+to :func:`step`.  The two schemes without a continuous extension, IMEX and
+RK4, land a step on every record time; within a record interval
+:func:`integrate` counts the IMEX position as an exact dyadic fraction of
+it, so its steps add up to the interval in whole rungs, as in the binary
+expansion of what is left.
 
 A run is stored as arrays: :class:`Trajectory` holds the sample times
 ``(n,)``, the states ``(n, K+1)`` and their :class:`Diagnostics`, one
@@ -113,7 +119,9 @@ class StepControls:
 
     ``max_steps`` bounds the step attempts of a run, rejected ones included.
     Dormand-Prince steps do not stop at record times, so for that scheme the
-    count does not grow with the number of records.
+    count does not grow with the number of records.  The IMEX scheme rounds
+    ``dt_init`` down to its ladder ``record_every * 2**-j``, but not below
+    the lowest rung at or above ``dt_min``.
     """
 
     rel_tol: float = 1e-8
@@ -508,12 +516,31 @@ def _record_times(t0: float, t_end: float, every: float) -> tuple[list[float], b
     return rec, short
 
 
+# a size this close (relative) to a rung counts as the rung: a remainder taken
+# as a difference of times carries their rounding
+_RUNG_REL_TOL = 1e-9
+
+
+def _rung(size: float, controls: StepControls, lift: bool = True) -> float:
+    """``size`` rounded down to the ladder ``record_every * 2**-j``, up to ``_RUNG_REL_TOL``.
+
+    With ``lift``, a rung below ``dt_min`` is raised to the lowest rung at
+    or above it.
+    """
+    r = controls.record_every
+    rung = math.ldexp(r, -max(0, math.ceil(math.log2(r / (size * (1.0 + _RUNG_REL_TOL))))))
+    if lift and rung < controls.dt_min:
+        rung = math.ldexp(r, -max(0, math.floor(math.log2(r / controls.dt_min))))
+    return rung
+
+
 def _attempt(stepper, t, y, h, controls: StepControls):
     """Run one attempt of size ``h`` from ``(t, y)`` and decide it.
 
     Returns ``(y_new, err, h_next)``, with ``y_new`` and ``err`` None when the
     step is rejected.  Raises :class:`EscapeSignal` on a non-finite step that
-    cannot shrink and :class:`StepUnderflowError` below ``dt_min``.
+    cannot shrink and :class:`StepUnderflowError` below ``dt_min``; an
+    accepted step below it proposes the lowest rung at or above it instead.
     """
     y_new, err = stepper.attempt(t, y, h)
     if not np.isfinite(y_new).all():
@@ -530,12 +557,7 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     fac = cap if err_norm == 0.0 else min(cap, max(0.2, 0.9 * err_norm**-stepper.err_exponent))
     h_next = h * fac
     if stepper.ladder:
-        # down to the ladder record_every * 2**-j, on which record times fall
-        r = controls.record_every
-        h_next = math.ldexp(r, -max(0, math.ceil(math.log2(r / h_next))))
-        if accepted and h_next < controls.dt_min:
-            # the lowest rung at or above dt_min
-            h_next = math.ldexp(r, -max(0, math.floor(math.log2(r / controls.dt_min))))
+        h_next = _rung(h_next, controls, lift=accepted)
     if accepted:
         return y_new, err, h_next
     if h_next < controls.dt_min:
@@ -569,6 +591,12 @@ def step(
     :class:`StepUnderflowError` when acceptance would need dt below dt_min
     and :class:`EscapeSignal` when the step produces non-finite values.
     Chained IMEX steps on one model reuse their exponential tables.
+
+    The IMEX scheme steps on the ladder, as :func:`integrate` does: ``dt``
+    is rounded down to a rung (:func:`_rung`).  When the accepted step is a
+    rung within rounding of ``dt``, the time still advances by ``dt``, so
+    chained steps to a target time land on it as :func:`integrate` lands on
+    a record.
     """
     if not (dt > 0.0):
         raise DomainError("dt must be positive")
@@ -578,13 +606,14 @@ def step(
     else:
         stepper, _ = _make_stepper(params, controls)
     y = state.a.copy()
-    y_new, h_next = None, dt
+    y_new, h_next = None, (_rung(dt, controls) if stepper.ladder else dt)
     with np.errstate(over="ignore", invalid="ignore"):
         while y_new is None:
             h = h_next
             y_new, err, h_next = _attempt(stepper, state.t, y, h, controls)
     err_max = 0.0 if err is None else float(np.max(np.abs(err)))
-    return DyadicState(t=state.t + h, a=y_new), err_max, h_next
+    t_new = state.t + (dt if math.isclose(h, dt, rel_tol=_RUNG_REL_TOL) else h)
+    return DyadicState(t=t_new, a=y_new), err_max, h_next
 
 
 def integrate(
@@ -661,10 +690,14 @@ def integrate(
     if t_end == t0:
         return _trajectory(params, delta, times, blocks, Termination.REACHED_T_END)
 
-    rec, _ = _record_times(t0, t_end, controls.record_every)
+    r = controls.record_every
+    rec, short = _record_times(t0, t_end, r)
+    # the record intervals a ladder stepper covers in whole rungs: all but a short last one
+    n_rungs = len(rec) - short if stepper.ladder else 0
     y = a0.copy()
     t = t0
-    dt = min(controls.dt_init, controls.record_every)
+    dt = _rung(controls.dt_init, controls) if stepper.ladder else min(controls.dt_init, r)
+    left = 1.0  # record interval i not yet stepped, in units of r: a dyadic fraction, exact
     attempts = i = 0  # i: the next record
 
     # overflow inside an attempt is caught by the isfinite checks of _attempt
@@ -676,10 +709,15 @@ def integrate(
             if attempts > controls.max_steps:
                 termination = Termination.MAX_STEPS_EXCEEDED
                 break
-            remaining = target - t
-            # rounding drifts t off the ladder: land rather than leave a sliver
-            lands = dt >= remaining or (stepper.ladder and remaining - dt < controls.dt_min)
-            h = remaining if lands else dt
+            if i < n_rungs:
+                # the largest rung in what is left, as in its binary expansion
+                h = min(dt, math.ldexp(r, math.frexp(left)[1] - 1))
+                lands = h / r == left
+            else:
+                # off the ladder, or a short last gap: land rather than leave a sliver
+                remaining = target - t
+                lands = dt >= remaining or (stepper.ladder and remaining - dt < controls.dt_min)
+                h = remaining if lands else dt
             try:
                 y_new, _, prop = _attempt(stepper, t, y, h, controls)
             except EscapeSignal:
@@ -691,8 +729,11 @@ def integrate(
             if y_new is None:
                 dt = prop
                 continue
-            dt = prop if (not lands or prop > dt) else dt
+            # a step shortened to fit keeps the larger of dt and its proposal
+            if h >= dt or prop > dt:
+                dt = prop
             t_start, t = t, (target if lands else t + h)
+            left = 1.0 if lands else left - h / r
             y = y_new
             if rec[i] > t:
                 continue

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dyadicflow.model import DyadicState, ModelParams, Tail
-from dyadicflow.integrate import Scheme, StepControls, Termination, integrate
+from dyadicflow.integrate import Scheme, StepControls, Termination, _trajectory, integrate
 from dyadicflow import analysis, output
 from dyadicflow.analysis import BlowupDiagnostics, InvariantReport, blowup_diagnostics
 from dyadicflow.config import (
@@ -260,12 +260,16 @@ class TestOutputs:
             assert row["termination"] == traj.termination.value
 
     def test_trajectory_csv_matches_per_cell_repr(self, tmp_path):
-        # the constant state has no ratio at t = 0 (nan) and a roundoff ratio
-        # of -0.0 at t = 0.01
-        const = integrate(ModelParams(alpha=0.3, trunc_k=8), DyadicState(t=0.0, a=[0.7] * 9),
-                          0.05, StepControls(record_every=0.01))
+        # a constant state has no ratio (nan); slopes 1/8, -1/8, 0 give the
+        # ratios -1 and 0.0 / -0.125 = -0.0, so the largest ratio is -0.0
+        a = np.full((3, 9), 0.7)
+        a[1, 1:] += 2.0**-4
+        a[1, 2:] -= 2.0**-5
+        const = _trajectory(ModelParams(alpha=0.3, trunc_k=8), 0.5, [0.0, 0.01, 0.02], a,
+                            Termination.REACHED_T_END)
         d = const.diag
         assert math.isnan(d.max_ratio[0]) and math.copysign(1.0, d.max_ratio[1]) == -1.0
+        assert d.max_ratio[1] == 0.0 and math.isnan(d.max_ratio[2])
         # one sample (t_end == t0), and 2,001 samples: four blocks, the last partial
         front = [
             integrate(ModelParams(alpha=0.3, trunc_k=8), gen_front(8, 3, 1.2, 0.5), t_end,

@@ -925,6 +925,8 @@ class TestEtdrk4:
 class TestStepLadder:
     """IMEX steps are restricted to ``record_every * 2**-j``."""
 
+    RUNGS = frozenset(math.ldexp(0.01, -j) for j in range(64))  # at the default cadence
+
     @staticmethod
     def _log_attempts(monkeypatch):
         log = []
@@ -937,20 +939,62 @@ class TestStepLadder:
         monkeypatch.setattr(integrate_module._Etdrk4, "attempt", attempt)
         return log
 
-    def test_tables_built_once(self, monkeypatch):
-        calls = []
-        original = integrate_module.expm
+    @staticmethod
+    def _log_tables(monkeypatch):
+        """The step sizes whose tables are built, one ``expm`` each, in order."""
+        built, calls = [], []
+        original_tables, original_expm = integrate_module._Etdrk4._tables, integrate_module.expm
+
+        def tables(self, dt):
+            if dt not in self._tables_cache:
+                built.append(dt)
+            return original_tables(self, dt)
 
         def expm(a):
             calls.append(a.shape)
-            return original(a)
+            return original_expm(a)
 
+        monkeypatch.setattr(integrate_module._Etdrk4, "_tables", tables)
         monkeypatch.setattr(integrate_module, "expm", expm)
-        p = ModelParams(alpha=0.25, trunc_k=16)
-        traj = integrate(p, gen_front(16, 4, 1.2, 0.5, 10.0), 0.25,
-                         StepControls(scheme=Scheme.DUHAMEL_IMEX))
+        return built, calls
+
+    @staticmethod
+    def _front16(t_end, **controls):
+        return integrate(ModelParams(alpha=0.25, trunc_k=16), gen_front(16, 4, 1.2, 0.5, 10.0),
+                         t_end, StepControls(scheme=Scheme.DUHAMEL_IMEX, **controls))
+
+    def test_tables_built_once(self, monkeypatch):
+        # one table per rung the run visits: each attempt's size and its half
+        log = self._log_attempts(monkeypatch)
+        built, calls = self._log_tables(monkeypatch)
+        traj = self._front16(0.25)
         assert traj.termination is Termination.REACHED_T_END
-        assert 0 < len(calls) <= 64
+        visited = {h for _, dt in log for h in (dt, 0.5 * dt)}
+        assert visited <= self.RUNGS
+        assert sorted(built) == sorted(visited) and len(calls) == len(visited) <= 8
+
+    def test_dt_init_rounded_to_ladder(self, monkeypatch):
+        # dt_init 1e-3 is off the ladder of the cadence 0.01: the first
+        # attempt takes the rung below it, 6.25e-4, and no table is off it
+        log = self._log_attempts(monkeypatch)
+        built, _ = self._log_tables(monkeypatch)
+        traj = self._front16(0.05, dt_init=1e-3, record_every=0.01)
+        assert traj.termination is Termination.REACHED_T_END
+        assert log[0][1] == 6.25e-4
+        assert built and set(built) <= self.RUNGS
+
+    def test_short_last_gap_is_the_one_off_ladder_step(self, monkeypatch):
+        # t_end 0.253 leaves a last gap of 0.003 after the record at 0.25:
+        # rungs cover it up to one landing of its own size, whose table and
+        # half-step table are the only two off the ladder
+        log = self._log_attempts(monkeypatch)
+        built, _ = self._log_tables(monkeypatch)
+        traj = self._front16(0.253)
+        assert traj.termination is Termination.REACHED_T_END
+        assert traj.times[-2:].tolist() == [0.25, 0.253]
+        off = [dt for _, dt in log if dt not in self.RUNGS]
+        assert len(off) == 1 and log[-1][1] == off[0]
+        assert sorted(dt for dt in built if dt not in self.RUNGS) == [0.5 * off[0], off[0]]
 
     def test_accepted_steps_on_ladder(self, monkeypatch):
         # tighter than the default tolerances, for enough accepted steps
@@ -958,15 +1002,12 @@ class TestStepLadder:
         c = StepControls(rel_tol=1e-11, abs_tol=1e-14, scheme=Scheme.DUHAMEL_IMEX)
         traj = integrate(ModelParams(alpha=0.25, trunc_k=16),
                          gen_front(16, 4, 1.2, 0.5, 10.0), 0.25, c)
-        records = set(traj.times.tolist())
         # an attempt is accepted when the next one starts from a later time
         starts = [t for t, _ in log] + [traj.final_state.t]
-        accepted = [(t, dt, t_next) for (t, dt), t_next in zip(log, starts[1:]) if t_next > t]
+        accepted = [(t, dt) for (t, dt), t_next in zip(log, starts[1:]) if t_next > t]
         assert len(accepted) > 500
-        rungs = {math.ldexp(c.record_every, -j) for j in range(64)}
-        off = [(t, dt) for t, dt, t_next in accepted if t_next not in records and dt not in rungs]
-        assert off == []
-        # rounding drifts t off the ladder; no sliver step is left before a record
+        # landings on a record included: every attempt is a rung
+        assert [(t, dt) for t, dt in log if dt not in self.RUNGS] == []
         assert min(dt for _, dt in log) >= c.dt_min
 
     def test_attempts_at_benchmark_setup(self, monkeypatch):
