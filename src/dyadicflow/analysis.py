@@ -463,25 +463,18 @@ def _ordering_margins(prev: np.ndarray, cur: np.ndarray, tolerance: float) -> np
     return out
 
 
-def _j_series(traj, delta: Optional[float]) -> tuple[float, np.ndarray]:
-    """``(delta, J column)``: the trajectory's own column at its delta, else recomputed."""
-    if delta is None or delta == traj.delta:
-        return traj.delta, traj.diag.j_value
-    return delta, np.concatenate([_j_values(a, delta) for _, a in _row_blocks(traj.states)])
-
-
-def fit_riccati_constants(traj, delta: Optional[float] = None) -> tuple[float, float]:
+def fit_riccati_constants(traj) -> tuple[float, float]:
     """Fit (C1, C2) so that ``dJ/dt >= C1 J**2 - C2 (1 + sup|a|)`` on the data.
 
-    C1 comes from a least-squares regression of the finite-difference dJ/dt
-    against J**2 over the growth window (the strictly increasing run of J
-    ending at its maximum; truncated runs saturate once the cascade hits
-    the cutoff and the flat region would wash the coefficient out).  C2 is
-    then the smallest non-negative constant making the inequality hold at
-    every interior sample of the whole run.  Both are empirical fits.
+    J is the trajectory's own column, at ``traj.delta``.  C1 comes from a
+    least-squares regression of the finite-difference dJ/dt against J**2
+    over the growth window (the strictly increasing run of J ending at its
+    maximum; truncated runs saturate once the cascade hits the cutoff and
+    the flat region would wash the coefficient out).  C2 is then the
+    smallest non-negative constant making the inequality hold at every
+    interior sample of the whole run.  Both are empirical fits.
     """
-    delta, j = _j_series(traj, delta)
-    t = traj.times
+    j, t = traj.diag.j_value, traj.times
     if len(t) < 3:
         raise DomainError("need at least 3 samples to fit Riccati constants")
     fd = (j[2:] - j[:-2]) / (t[2:] - t[:-2])
@@ -503,19 +496,18 @@ def fit_riccati_constants(traj, delta: Optional[float] = None) -> tuple[float, f
     return c1, c2
 
 
-def riccati_inequality_check(traj, delta: Optional[float] = None) -> InvariantReport:
+def riccati_inequality_check(traj) -> InvariantReport:
     """Differential identity / inequality for the blow-up functional J.
 
-    Inviscid runs: verifies the exact identity
-    ``dJ/dt = sum_k b_k**2 2**(k(delta-1))`` sample by sample with a
-    centered finite difference; the tolerance is the sampling cadence (the
-    median sample spacing).  Dissipative runs: fits (C1, C2) and asserts
-    C1 > 0, reporting the fitted constants via the log.
+    J is the trajectory's own column, at ``traj.delta``.  Inviscid runs:
+    verifies the exact identity ``dJ/dt = sum_k b_k**2 2**(k(delta-1))``
+    sample by sample with a centered finite difference; the tolerance is the
+    sampling cadence (the median sample spacing).  Dissipative runs: fits
+    (C1, C2) and asserts C1 > 0, reporting the fitted constants via the log.
     """
-    delta, j = _j_series(traj, delta)
-    t = traj.times
+    delta, j, t = traj.delta, traj.diag.j_value, traj.times
     if traj.params.alpha > 0.0:
-        c1, c2 = fit_riccati_constants(traj, delta)
+        c1, c2 = fit_riccati_constants(traj)
         logger.info("riccati inequality fit: C1=%.6g C2=%.6g (delta=%g)", c1, c2, delta)
         return InvariantReport.from_margin(
             "riccati_inequality_dissipative", c1, (float(t[-1]), None), 0.0
@@ -536,15 +528,18 @@ def riccati_inequality_check(traj, delta: Optional[float] = None) -> InvariantRe
     )
 
 
-def blowup_diagnostics(traj, delta: Optional[float] = None) -> BlowupDiagnostics:
-    """Collect blow-up series (J, fitted T, front index, escape time)."""
-    delta, j = _j_series(traj, delta)
+def blowup_diagnostics(traj) -> BlowupDiagnostics:
+    """Collect blow-up series (J, fitted T, front index, escape time).
+
+    The series are the trajectory's own columns, J at ``traj.delta``; a J at
+    another delta comes from integrating at that delta.
+    """
     return BlowupDiagnostics(
-        delta=delta,
+        delta=traj.delta,
         times=traj.times,
-        j_value=j,
+        j_value=traj.diag.j_value,
         front_index=traj.diag.front_index,
-        riccati_t=riccati_fit(traj.times, j),
+        riccati_t=riccati_fit(traj.times, traj.diag.j_value),
         escape_time=traj.escape_time,
     )
 

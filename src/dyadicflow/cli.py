@@ -117,9 +117,8 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     traj = run_simulation(cfg)
     reports = analysis.run_checks(traj, cfg.checks)
-    diag = analysis.blowup_diagnostics(traj)
     prefix = _prefix(cfg, args)
-    output.save_outputs(traj, reports, diag, prefix)
+    output.save_outputs(traj, reports, prefix)
     esc = "" if traj.escape_time is None else f" escape_t={traj.escape_time!r}"
     _emit(args, f"simulate: {traj.termination.value} samples={len(traj.times)}{esc} -> {prefix}")
     return 2 if traj.termination is Termination.ESCAPE_DETECTED else 0

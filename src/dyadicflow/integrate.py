@@ -59,7 +59,6 @@ tracer patch to count and time the exponentials.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -244,7 +243,8 @@ class _DormandPrince:
     of the next attempt.  ``attempt`` reuses it when called from the state it
     returned last, and reuses the first stage when retried from the state it
     started from last.  Both are recognised by identity, which is sound
-    because the returned state is read-only and callers do not mutate theirs.
+    because the returned state is read-only, callers do not mutate theirs,
+    and a stepper serves one :func:`integrate` or :func:`step` call only.
     """
 
     err_exponent = 1.0 / 5.0
@@ -327,7 +327,8 @@ class _Etdrk4:
     it returned last, and ``N(y)`` when retried from the state it started
     from last, so an attempt costs four right-hand sides.  Both are
     recognised by identity, which is sound because the returned state is
-    read-only and callers do not mutate theirs.  At M = 0 the scheme is
+    read-only, callers do not mutate theirs, and a stepper serves one
+    :func:`integrate` or :func:`step` call only.  At M = 0 the scheme is
     classical RK4.
     """
 
@@ -565,19 +566,6 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     return None, None, h_next
 
 
-@functools.lru_cache(maxsize=1)
-def _imex_stepper(params: ModelParams) -> _Etdrk4:
-    """The IMEX stepper of the last :func:`step` model, kept for its phi-tables.
-
-    Chained steps then build each table once, as :func:`integrate` does.  The
-    stepper also holds the endpoint stage of its last attempt, which it
-    reuses only for the very array that attempt started from or returned.
-    :func:`step` passes a fresh copy of the state, so sharing the stepper
-    leaves every step unchanged.
-    """
-    return _make_stepper(params, StepControls(scheme=Scheme.DUHAMEL_IMEX))[0]
-
-
 def step(
     params: ModelParams,
     state: DyadicState,
@@ -590,7 +578,8 @@ def step(
     the controller's proposed next step size.  Raises
     :class:`StepUnderflowError` when acceptance would need dt below dt_min
     and :class:`EscapeSignal` when the step produces non-finite values.
-    Chained IMEX steps on one model reuse their exponential tables.
+    Each call builds its own stepper, so no state outlives it: an IMEX step
+    builds the exponential tables it needs afresh.
 
     The IMEX scheme steps on the ladder, as :func:`integrate` does: ``dt``
     is rounded down to a rung (:func:`_rung`).  When the accepted step is a
@@ -600,12 +589,8 @@ def step(
     """
     if not (dt > 0.0):
         raise DomainError("dt must be positive")
-    _check_state(params, state)
-    if _resolve_scheme(params, controls) is Scheme.DUHAMEL_IMEX:
-        stepper = _imex_stepper(params)
-    else:
-        stepper, _ = _make_stepper(params, controls)
-    y = state.a.copy()
+    y = _check_state(params, state)
+    stepper, _ = _make_stepper(params, controls)
     y_new, h_next = None, (_rung(dt, controls) if stepper.ladder else dt)
     with np.errstate(over="ignore", invalid="ignore"):
         while y_new is None:
@@ -755,8 +740,7 @@ def integrate(
     elif termination is not Termination.ESCAPE_DETECTED and times[-1] < t:
         # partial run: keep the last reached point for post-mortem inspection;
         # a state past the threshold reports the escape, whatever stopped the run
-        if np.all(np.isfinite(y)):
-            keep([t], y[None])
+        keep([t], y[None])
 
     return _trajectory(params, delta, times, blocks, termination, escape_time)
 

@@ -255,23 +255,22 @@ def read_scan_csv(path) -> list[tuple[float, int, float, Optional[float]]]:
         ]
 
 
-def save_outputs(traj: Trajectory, reports, diagnostics, prefix) -> dict[str, Path]:
-    """Write the full output set for one run under a path prefix."""
+def save_outputs(traj: Trajectory, reports, prefix) -> dict[str, Path]:
+    """Write the full output set for one run under a path prefix.
+
+    The blow-up record is :func:`analysis.blowup_diagnostics` of ``traj``,
+    whose series are the trajectory's own time and J columns.
+    """
     prefix = str(prefix)
     final = traj.final_state
     from dyadicflow.scenarios import profile_reconstruction
 
     t_cells, j_cells = _cells(traj.times), _cells(traj.diag.j_value)
-    paths = {
+    blowup = analysis.blowup_diagnostics(traj)
+    return {
         "trajectory": write_trajectory_csv(traj, prefix + "_trajectory.csv", t_cells, j_cells),
         "state": write_state_csv(final, traj.params.norm_s, prefix + "_state.csv"),
         "profile": write_profile_csv(profile_reconstruction(final), prefix + "_profile.csv"),
         "reports": write_reports_json(reports, prefix + "_reports.json"),
+        "blowup": write_blowup_json(blowup, prefix + "_blowup.json", t_cells, j_cells),
     }
-    if diagnostics is not None:
-        paths["blowup"] = write_blowup_json(
-            diagnostics, prefix + "_blowup.json",
-            t_cells if diagnostics.times is traj.times else None,
-            j_cells if diagnostics.j_value is traj.diag.j_value else None,
-        )
-    return paths

@@ -231,7 +231,7 @@ def test_criterion_06_goodbad_and_riccati_identity():
     p = ModelParams(alpha=0.0, trunc_k=12, norm_s=1.5)
     c = StepControls(rel_tol=1e-10, abs_tol=1e-13, record_every=1e-4)
     traj = integrate(p, gen_bump(12), 0.3, c, delta=0.5, escape_threshold=1e30)
-    rep = riccati_inequality_check(traj, 0.5)
+    rep = riccati_inequality_check(traj)
     identity_ok = rep.passed and rep.tolerance == pytest.approx(1e-4)
     ratios = {d: round(w, 4) for d, (w, _) in worst_ratio.items()}
     report(

@@ -375,6 +375,12 @@ def trajectories():
     return out
 
 
+def _at_delta(traj, delta):
+    """The trajectory's samples with their diagnostics rebuilt at ``delta``."""
+    return _trajectory(traj.params, delta, traj.times, traj.states, traj.termination,
+                       traj.escape_time)
+
+
 def _fault_at(traj, i):
     """The first ``i + 1`` samples of ``traj``, the last one pushed out of order."""
     # inject_fault corrupts the middle one of three samples
@@ -442,19 +448,19 @@ class TestChecks:
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_j_series_at_another_delta(self, trajectories, monkeypatch, block):
+        # a J at another delta is a trajectory built at that delta
         monkeypatch.setattr(analysis, "BLOCK_ROWS", block)
         for name in ("bump20", "front", "k2"):
-            traj = trajectories[name]
-            _, js = analysis._j_series(traj, 0.3)
-            assert repr(js.tolist()) == repr(_loop_j_series(traj, 0.3))
+            traj = _at_delta(trajectories[name], 0.3)
+            assert repr(traj.diag.j_value.tolist()) == repr(_loop_j_series(traj, 0.3))
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("delta", [0.3, 0.5])
     def test_fit_riccati_constants(self, trajectories, monkeypatch, block, delta):
         monkeypatch.setattr(analysis, "BLOCK_ROWS", block)
         for name in ("front", "front+sign-flip", "bump20"):
-            traj = trajectories[name]
-            got = analysis.fit_riccati_constants(traj, delta)
+            traj = _at_delta(trajectories[name], delta)
+            got = analysis.fit_riccati_constants(traj)
             assert repr(got) == repr(_loop_fit_riccati_constants(traj, delta)), name
 
     @pytest.mark.parametrize("block", [1, 7, analysis.BLOCK_ROWS])

@@ -356,9 +356,15 @@ class TestOutputs:
         assert path.read_bytes() == csv_oracle(SCAN_HEADER, cells)
         assert write_scan_csv([], path).read_bytes() == csv_oracle(SCAN_HEADER, [])
 
-    def test_save_outputs_files(self, tmp_path, traj):
-        diag = blowup_diagnostics(traj)
-        paths = save_outputs(traj, [], diag, tmp_path / "run")
+    def test_save_outputs_files(self, tmp_path, traj, monkeypatch):
+        # the blow-up record is built through the module attribute, once
+        built = []
+        original = analysis.blowup_diagnostics
+        monkeypatch.setattr(analysis, "blowup_diagnostics",
+                            lambda t: built.append(t) or original(t))
+        paths = save_outputs(traj, [], tmp_path / "run")
+        assert built == [traj]
+        assert list(paths) == ["trajectory", "state", "profile", "reports", "blowup"]
         for p in paths.values():
             assert p.exists()
             assert not str(p).endswith(".tmp")
@@ -366,21 +372,16 @@ class TestOutputs:
         assert blob["delta"] == traj.delta
         assert len(blob["j_series"]) == len(traj.times)
 
-    @pytest.mark.parametrize("delta", [None, 0.3])
-    def test_save_outputs_formats_time_and_j_once(self, tmp_path, traj, monkeypatch, delta):
+    def test_save_outputs_formats_time_and_j_once(self, tmp_path, traj, monkeypatch):
         # the trajectory CSV and the blow-up JSON share the cells of the time
-        # column, and of the J column when the diagnostics are at the
-        # trajectory's own delta; at another delta the JSON formats its own J
-        diag = blowup_diagnostics(traj, delta)
-        assert (diag.j_value is traj.diag.j_value) == (delta is None)
+        # and J columns
         cells, calls = output._cells, []
         monkeypatch.setattr(output, "_cells", lambda c: calls.append(c) or cells(c))
-        paths = save_outputs(traj, [], diag, tmp_path / "run")
+        paths = save_outputs(traj, [], tmp_path / "run")
         assert paths["trajectory"].read_bytes() == trajectory_oracle(traj)
-        assert paths["blowup"].read_text() == json_oracle(blowup_obj(diag))
+        assert paths["blowup"].read_text() == json_oracle(blowup_obj(blowup_diagnostics(traj)))
         assert sum(np.shares_memory(c, traj.times) for c in calls) == 1
         assert sum(np.shares_memory(c, traj.diag.j_value) for c in calls) == 1
-        assert sum(np.shares_memory(c, diag.j_value) for c in calls) == 1
 
     def test_blowup_json_from_ready_cells(self, tmp_path):
         # repr cells, NaN and infinities included, give the bytes of the columns

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import importlib
+import itertools
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -101,29 +103,6 @@ class TestStep:
         assert s.t == traj.final_state.t == t_end
         assert np.max(np.abs(s.a - traj.final_state.a)) <= tol
 
-    def test_chained_imex_steps_build_tables_once(self, monkeypatch):
-        # the setup of test_chained_steps_match_integrate at tighter
-        # tolerances, for enough steps: step() keeps the IMEX stepper of
-        # the last model, so each phi-table is built once
-        calls = []
-        original = integrate_module.expm
-
-        def expm(a):
-            calls.append(a.shape)
-            return original(a)
-
-        monkeypatch.setattr(integrate_module, "expm", expm)
-        integrate_module._imex_stepper.cache_clear()
-        p = ModelParams(alpha=0.35, trunc_k=8)
-        c = StepControls(rel_tol=1e-11, abs_tol=1e-14, scheme=Scheme.DUHAMEL_IMEX,
-                         record_every=0.2)
-        s, dt, steps = gen_front(8, 3, 1.2, 0.5), c.dt_init, 0
-        while s.t < 0.2:
-            s, _, dt = step(p, s, c, min(dt, 0.2 - s.t))
-            steps += 1
-        assert steps > 100
-        assert 0 < len(calls) <= 8
-
     def test_underflow_raises(self):
         # the setup of TestIntegrate.test_step_underflow_termination
         p = ModelParams(alpha=0.45, trunc_k=12)
@@ -143,6 +122,55 @@ class TestStep:
         with pytest.raises(EscapeSignal):
             for _ in range(20):
                 s, _, _ = step(p, s, c, c.dt_init)
+
+
+def _imex_chain(p, s, t_end):
+    """Chained IMEX ``step()`` calls from ``s`` to ``t_end``, yielding each outcome as text."""
+    c = StepControls(scheme=Scheme.DUHAMEL_IMEX, record_every=t_end)
+    dt = c.dt_init
+    while s.t < t_end:
+        s, err, dt = step(p, s, c, min(dt, t_end - s.t))
+        yield repr(s.t), s.a.tobytes(), repr(err), repr(dt)
+
+
+def _run_bytes(traj):
+    """Everything a trajectory holds, as bytes and reprs, for bitwise comparison."""
+    columns = [getattr(traj.diag, f.name).tobytes() for f in dataclasses.fields(traj.diag)]
+    return (traj.times.tobytes(), traj.states.tobytes(), columns, traj.termination,
+            repr(traj.escape_time))
+
+
+class TestNoSharedState:
+    """No state outlives a call: results do not depend on other calls, before or alongside."""
+
+    MODELS = [
+        (ModelParams(alpha=0.3, trunc_k=8), gen_front(8, 3, 1.2, 0.5)),
+        (ModelParams(alpha=0.35, trunc_k=10), gen_front(10, 4, 1.2, 0.5)),
+    ]
+
+    def test_interleaved_imex_chains_match_alone(self):
+        alone = [list(_imex_chain(p, s, 0.2)) for p, s in self.MODELS]
+        chains = [_imex_chain(p, s, 0.2) for p, s in self.MODELS]
+        interleaved = [[], []]
+        for pair in itertools.zip_longest(*chains):
+            for out, link in zip(interleaved, pair):
+                if link is not None:
+                    out.append(link)
+        assert all(len(c) > 10 for c in alone)
+        assert interleaved == alone
+
+    def test_concurrent_runs_match_serial(self):
+        jobs = [(p, s, scheme) for (p, s), scheme in
+                zip(self.MODELS, (Scheme.DUHAMEL_IMEX, Scheme.EXPLICIT_ADAPTIVE))]
+
+        def run(job):
+            p, s, scheme = job
+            return integrate(p, s, 0.5, StepControls(scheme=scheme, record_every=0.05))
+
+        serial = [_run_bytes(run(job)) for job in jobs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = [_run_bytes(t) for t in pool.map(run, jobs * 2)]
+        assert concurrent == serial * 2
 
 
 class TestIntegrate:
