@@ -48,12 +48,10 @@ escape test on them as one block (:func:`_first_escape`); after the run
 :func:`_diagnostics`, one block of ``analysis.BLOCK_ROWS`` rows per call,
 with results equal to a per-sample computation bitwise.
 
-scipy is imported only when a matrix exponential is first built: the module
-function :func:`expm` imports ``scipy.linalg.expm`` in its body, so an
-explicit or inviscid run never loads scipy.  ``_phi_blocks`` and
-``_semigroup_matrix`` look ``expm`` up as a module global at call time,
-which makes ``integrate.expm`` the seam that the tests and perfbench's
-tracer patch to count and time the exponentials.
+The matrix exponential :func:`expm` is Pade scaling and squaring on numpy
+alone.  ``_phi_blocks`` and ``_semigroup_matrix`` look ``expm`` up as a
+module global at call time, which makes ``integrate.expm`` the seam that
+the tests and perfbench's tracer patch to count and time the exponentials.
 """
 
 from __future__ import annotations
@@ -289,11 +287,87 @@ class _DormandPrince:
         return y + th * (dy + th1 * (r3 + th * (r4 + th1 * r5)))
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm``, imported on the first call rather than with the module."""
-    from scipy.linalg import expm as scipy_expm
+# Pade degrees m with the one-norm bounds theta_m up to which r_m(A) meets
+# unit roundoff without scaling, and degree 13's bound (Higham 2005, Table 2.3)
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152
+# numerator coefficients b_0 .. b_m of the [m/m] Pade approximant of exp
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
 
-    return scipy_expm(a)
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` by Pade scaling and squaring (Higham 2005, SIAM J. Matrix Anal. Appl. 26).
+
+    The degree m is the lowest in 3, 5, 7, 9 whose bound theta_m holds the
+    one-norm of ``a``; above theta_9 it is 13, on ``a / 2**s`` with the least
+    ``s >= 0`` that brings the norm under theta_13, and the result is squared
+    ``s`` times.  One ``np.linalg.solve`` gives r_m = q_m(a)^-1 p_m(a).
+
+    Raises :class:`DomainError` when the smallest non-zero ``|a_kk| 2**-s``
+    falls below ``2**-53``: ``exp`` of that scaled rate rounds to 1, and the
+    squarings cannot recover the rate, so the result would be wrong, and
+    ``s`` squarings are slow besides.  For ``-t M`` and the phi-block of
+    ``-h M`` this depends on K and alpha, hardly on t or h: it starts at
+    K = 107 for alpha = 0.25.  ROADMAP item 1's entrywise-accurate
+    exponential lifts the bound.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise InvalidInputError("matrix entries must all be finite")
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    rates = np.abs(np.diagonal(a))
+    slow = rates[rates > 0.0]
+    if slow.size and math.ldexp(float(slow.min()), -s) < 2.0**-53:
+        raise DomainError(
+            f"exp of a matrix with one-norm {norm:.3g} needs 2**-{s} scaling, "
+            f"which rounds its slowest rate {slow.min():.3g} away "
+            "(ROADMAP item 1 lifts this bound)"
+        )
+    m = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
+    u, v = _pade_uv(np.ldexp(a, -s), _PADE_B[m])
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _pade_uv(a: np.ndarray, b: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Odd and even parts ``u``, ``v`` of the Pade numerator ``p_m(a) = v + u``.
+
+    The denominator is ``q_m(a) = v - u``.  Degree 13 takes the split
+    evaluation of Higham 2005, eq. (2.12), with the powers a^2, a^4, a^6.
+    """
+    n = a.shape[0]
+    a2 = a @ a
+    if len(b) == 14:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        u += b[7] * a6 + b[5] * a4 + b[3] * a2
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        v += b[6] * a6 + b[4] * a4 + b[2] * a2
+    else:
+        # the even powers a^2 .. a^(m-1); b[1] and b[0] go on the diagonal below
+        u = b[3] * a2
+        v = b[2] * a2
+        power = a2
+        for j in range(4, len(b) - 1, 2):
+            power = power @ a2
+            u += b[j + 1] * power
+            v += b[j] * power
+    u.flat[:: n + 1] += b[1]
+    v.flat[:: n + 1] += b[0]
+    return a @ u, v
 
 
 def _phi_blocks(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -753,8 +827,9 @@ def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> Dyad
     the top indices by up to ``2**(s*K)``, so its roundoff there shows above
     K = 32: at alpha = 0.35, front (4, 1.2, 0.5, 1) and t = 1e-3 the X^s
     norm reads 9.54 for K <= 32 but 513 at K = 40 and 3.7e13 at K = 64
-    (initially 9.64), where monotonicity also breaks by -2.4e-7.  ROADMAP
-    item 1 has the entrywise-accurate remedy.
+    (initially 9.64), where monotonicity also breaks by -2.4e-7.  Further
+    up, from K = 107 at alpha = 0.25, :func:`expm` refuses the matrix with
+    :class:`DomainError`.  ROADMAP item 1 has the entrywise-accurate remedy.
     """
     if params.alpha <= 0.0:
         raise DomainError("the semigroup requires alpha > 0")

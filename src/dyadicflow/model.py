@@ -19,9 +19,8 @@ closed form ``(L a)_k = sum_{j<=k} P_j d_j - w_k S_k`` with
 ``w_k = 2**(2*alpha*k)``, ``P_k = sum_{n<k} w_n`` and
 ``S_k = sum_{j>k} 2**(k-j+1) d_j``.  The O(K) evaluation and the dense
 matrix both take ``w`` and ``P`` from one helper; the direct double sum is
-the reference.  The O(K) kernel's banded solve is LAPACK ``dtbtrs``, imported
-from scipy on the kernel's first call: the integrators use the dense matrix
-and never call the kernel, so importing this module does not load scipy.
+the reference.  ``S`` is a scaled reversed cumulative sum, so the O(K)
+kernel needs numpy alone.
 
 Everything in this module is a pure function of immutable values.
 """
@@ -208,12 +207,31 @@ def _operator_weights(size: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return w, np.concatenate([[0.0], np.cumsum(w[:-1])])
 
 
-@functools.cache
-def _dtbtrs():
-    """LAPACK ``dtbtrs``, imported from scipy on the first call and bound once."""
-    from scipy.linalg.lapack import dtbtrs
+# indices per cumulative sum in _tail_sums: the scaled increments stay
+# normal, and the sums bitwise equal to back substitution, while |d_j| >= 2**-510
+_TAIL_BLOCK = 512
 
-    return dtbtrs
+
+def _tail_sums(d: np.ndarray) -> np.ndarray:
+    """``S_k = sum_{j>k} 2**(k-j+1) d_j`` for k = 0 .. K-1, given ``d[k] = d_{k+1}``.
+
+    Solves ``S_k - S_{k+1}/2 = d_{k+1}``, ``S_K = 0``, as a reversed
+    cumulative sum of ``2**-(k-lo+1) d[k]`` in blocks ``[lo, hi)`` of
+    ``_TAIL_BLOCK`` indices, from the top block down, with ``S_hi`` carried
+    into the block below.  Power-of-two scalings are exact in the normal
+    range, so every addition rounds as in the back substitution
+    ``S_k = d_{k+1} + S_{k+1}/2``, and the result is bitwise equal to it.
+    """
+    s = np.empty(d.size)
+    carry = 0.0
+    for hi in range(d.size, 0, -_TAIL_BLOCK):
+        lo = max(hi - _TAIL_BLOCK, 0)
+        e = _transport_exponents(hi - lo + 1)
+        x = np.ldexp(d[lo:hi], -e)
+        x[-1] += math.ldexp(carry, -(hi - lo + 1))
+        np.ldexp(np.cumsum(x[::-1])[::-1], e, out=s[lo:hi])
+        carry = s[lo]
+    return s
 
 
 def _dissipation_array(a: np.ndarray, alpha: float, tail: Tail) -> np.ndarray:
@@ -222,13 +240,7 @@ def _dissipation_array(a: np.ndarray, alpha: float, tail: Tail) -> np.ndarray:
     d = np.diff(a)
     out = np.zeros(a.size)
     np.cumsum(p[1:] * d, out=out[1:])
-    # S from the unit upper bidiagonal system S_k - S_{k+1}/2 = d_{k+1}, S_K = 0;
-    # LAPACK directly, without solve_banded's fixed cost
-    band = np.array([np.full(kmax, -0.5), np.ones(kmax)])
-    s, info = _dtbtrs()(band, d, uplo="U")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"banded solve failed (LAPACK dtbtrs info {info})")
-    out[:-1] -= w[:-1] * s
+    out[:-1] -= w[:-1] * _tail_sums(d)
     if tail is Tail.ZERO:
         out += np.ldexp(w, np.arange(-kmax, 1)) * (a[-1] - a)
     return out
@@ -272,7 +284,10 @@ def _rhs_inviscid_array(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _transport_exponents(size: int) -> np.ndarray:
-    """Read-only exponents k = 1 .. size - 1 of the transport scale ``2**k``."""
+    """Read-only exponents k = 1 .. size - 1 of the transport scale ``2**k``.
+
+    They also scale the blocks of :func:`_tail_sums`.
+    """
     k = np.arange(1, size)
     k.flags.writeable = False
     return k

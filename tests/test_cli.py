@@ -258,10 +258,10 @@ class TestEntryPoint:
         assert proc.stdout.count("\n") == 1
 
     def test_runs_without_scipy(self, tmp_path):
-        # importing scipy.linalg takes longer than an inviscid run: only the
-        # IMEX scheme, semigroup and the O(K) dissipation kernel may load it.
-        # With sys.modules["scipy"] = None any scipy import raises, and main
-        # turns the error into exit code 1.
+        # scipy is not a runtime dependency: every scheme, the semigroup and
+        # the O(K) dissipation kernel run on numpy alone.  With
+        # sys.modules["scipy"] = None any scipy import raises, and main turns
+        # the error into exit code 1.
         inviscid, _ = write_cfg(
             tmp_path, name="inviscid.cfg",
             params=ModelParams(alpha=0.0, trunc_k=10),
@@ -271,17 +271,29 @@ class TestEntryPoint:
                     "riccati_identity"),
         )
         explicit, _ = write_cfg(tmp_path, name="explicit.cfg")
+        imex, imex_cfg = write_cfg(
+            tmp_path, name="imex.cfg",
+            controls=StepControls(scheme=Scheme.DUHAMEL_IMEX, record_every=0.1),
+            output_prefix=str(tmp_path / "out" / "imex"),
+        )
         _, spec = TestScan().make_sweep(tmp_path)
         sweep = tmp_path / "sweep.cfg"
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             "from dyadicflow.cli import main\n"
+            "from dyadicflow.model import ModelParams, dissipation\n"
+            "from dyadicflow.scenarios import gen_bump\n"
             "rcs = [main([cmd, '--config', path, '--quiet']) for cmd, path in\n"
-            "       [('simulate', sys.argv[1]), ('simulate', sys.argv[2]), ('scan', sys.argv[3])]]\n"
-            "print(rcs, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "       [('simulate', sys.argv[1]), ('simulate', sys.argv[2]), ('scan', sys.argv[3]),\n"
+            "        ('simulate', sys.argv[4]), ('semigroup', sys.argv[4])]]\n"
+            "op = dissipation(ModelParams(alpha=0.3, trunc_k=12), gen_bump(12))\n"
+            "print(rcs, op.shape, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
-        proc = run_child("-c", code, str(inviscid), str(explicit), str(sweep))
+        proc = run_child("-c", code, str(inviscid), str(explicit), str(sweep), str(imex))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[0, 0, 0] ['scipy']\n", proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0] (13,) ['scipy']\n", proc.stderr
         assert len(read_scan_csv(spec.base.output_prefix + "_scan.csv")) == 4
+        assert len(read_series_csv(imex_cfg.output_prefix + "_semigroup.csv")) == 6
+        with open(imex_cfg.output_prefix + "_trajectory.csv", encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 1 + 6

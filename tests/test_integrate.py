@@ -3,6 +3,7 @@ import functools
 import importlib
 import itertools
 import math
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -35,6 +36,7 @@ from dyadicflow.integrate import (
 from dyadicflow.analysis import front_index, holder_seminorm, slope_ratio_report
 from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric
 from conftest import random_monotone_state
+from phi_literals import PHI_ACTIONS
 
 # the package re-exports the function ``integrate`` under the module's name
 integrate_module = importlib.import_module("dyadicflow.integrate")
@@ -828,6 +830,70 @@ class TestPhiTables:
                 series[k] += term * (math.factorial(j) / math.factorial(j + k))
         for block, ref in zip(blocks, series):
             np.testing.assert_allclose(block, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("case", list(PHI_ACTIONS), ids=str)
+    def test_phi_actions_match_mpmath(self, case):
+        # phi_j(-h M) a of the front datum against scripts/make_phi_literals.py;
+        # every entry is positive (-M is Metzler, a >= 0), so each is compared
+        # relative to itself
+        alpha, trunc_k, h = case
+        a = gen_front(trunc_k, 4, 1.2, 0.5, 10.0).a
+        m = dissipation_matrix(ModelParams(alpha=alpha, trunc_k=trunc_k))
+        got = np.array([phi @ a for phi in integrate_module._phi_blocks(-h * m)])
+        ref = np.array(PHI_ACTIONS[case])
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 21])
+    def test_zero_linear_part(self, n):
+        # the exponential scheme at alpha = 0: phi_j(0) = I / j!
+        blocks = integrate_module._phi_blocks(np.zeros((n, n)))
+        for block, scale in zip(blocks, (1.0, 1.0, 0.5, 1.0 / 6.0)):
+            np.testing.assert_array_max_ulp(block, scale * np.eye(n), maxulp=1)
+
+
+class TestExpm:
+    """The Pade exponential at the edges of its domain."""
+
+    @pytest.mark.parametrize("t", [0.01, 1.0, 10.0])
+    def test_smallest_truncation(self, t):
+        # K = 2: against the eigendecomposition of the 3 x 3 matrix
+        p = ModelParams(alpha=0.25, trunc_k=2)
+        m = dissipation_matrix(p)
+        lam, v = np.linalg.eig(m)
+        ref = (v @ np.diag(np.exp(-t * lam)) @ np.linalg.inv(v)).real
+        np.testing.assert_allclose(integrate_module.expm(-t * m), ref, rtol=0, atol=1e-14)
+        s = gen_bump(2)
+        np.testing.assert_allclose(linear_semigroup(p, s, t).a, ref @ s.a, rtol=0, atol=1e-14)
+
+    def test_near_half_long_time(self):
+        # alpha 0.499, K 24, t 10: one-norm 2.7e8, 26 squarings, no
+        # overflow warning (the suite turns RuntimeWarning into an error)
+        p = ModelParams(alpha=0.499, trunc_k=24)
+        s = gen_front(24, 4, 1.2, 0.5, 10.0)
+        out = linear_semigroup(p, s, 10.0)
+        assert np.all(np.isfinite(out.a))
+        assert xs_norm(out, p.norm_s) <= xs_norm(s, p.norm_s)
+
+    def test_refuses_rates_below_roundoff_fast(self):
+        # alpha 0.25, K 1024, t 0.01: one-norm 4.7e152 would take 505
+        # squarings, and exp of the slowest rate 0.01 scaled by 2**-505 is 1
+        p = ModelParams(alpha=0.25, trunc_k=1024)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="ROADMAP item 1"):
+            linear_semigroup(p, gen_bump(1024), 0.01)
+        assert time.perf_counter() - start < 1.0
+
+    def test_k64_returns(self):
+        # below the bound: 25 squarings, a finite result (accurate normwise,
+        # not entrywise, so its X^s norm is not checked here)
+        p = ModelParams(alpha=0.25, trunc_k=64)
+        out = linear_semigroup(p, gen_bump(64), 0.01)
+        assert np.all(np.isfinite(out.a))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidInputError):
+            integrate_module.expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 # (params, initial state, t_end) of the exponential-stepper accuracy cases

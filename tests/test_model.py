@@ -29,13 +29,36 @@ from dyadicflow.model import (
     weighted_slopes,
     xs_norm,
 )
-from dyadicflow.model import _xs_norms, _xs_weights
-from dyadicflow.scenarios import gen_bump
+from dyadicflow.model import _operator_weights, _xs_norms, _xs_weights
+from dyadicflow.scenarios import gen_bump, gen_front
 from conftest import random_monotone_array, random_monotone_state
 
 
 def state(a, t=0.0):
     return DyadicState(t=t, a=np.asarray(a, dtype=float))
+
+
+def _back_substitution_dissipation(a, alpha, tail):
+    """The O(K) closed form in scalar Python arithmetic, loop by loop."""
+    w, p = _operator_weights(a.size, alpha)
+    kmax = a.size - 1
+    d = [float(a[j + 1] - a[j]) for j in range(kmax)]
+    s = [0.0] * kmax
+    acc = 0.0
+    for k in range(kmax - 1, -1, -1):
+        acc = d[k] + 0.5 * acc
+        s[k] = acc
+    out = [0.0]
+    acc = 0.0
+    for j in range(kmax):
+        acc += float(p[j + 1]) * d[j]
+        out.append(acc)
+    for k in range(kmax):
+        out[k] -= float(w[k]) * s[k]
+    if tail is Tail.ZERO:
+        for k in range(kmax + 1):
+            out[k] += math.ldexp(float(w[k]), k - kmax) * float(a[-1] - a[k])
+    return np.array(out)
 
 
 monotone_states = st.builds(
@@ -127,6 +150,18 @@ class TestDissipation:
             d = dissipation_direct(p, s)
             assert np.all(np.isfinite(d))
             assert np.max(np.abs(f - d)) <= 1e-12 * np.max(np.abs(d))
+
+    @pytest.mark.parametrize("kmax", [12, 16, 20, 64, 256, 1000, 2048])
+    def test_fast_equals_back_substitution_bitwise(self, rng, kmax):
+        # S by the scalar recurrence S_k = d_{k+1} + S_{k+1}/2, as a banded
+        # back substitution computes it; alpha 0.24 keeps K = 2048 finite
+        data = [gen_front(kmax, 4, 1.2, 0.5, 10.0).a, gen_bump(kmax).a,
+                random_monotone_array(rng, kmax)]
+        for a, tail in itertools.product(data, Tail):
+            p = ModelParams(alpha=0.24, trunc_k=kmax, tail=tail)
+            got = dissipation(p, state(a))
+            ref = _back_substitution_dissipation(a, p.alpha, tail)
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_matrix_matches_operator(self, rng):
         for kmax, tail in itertools.product((12, 1024), (Tail.PLATEAU, Tail.ZERO)):
