@@ -1,4 +1,13 @@
-"""Dyadic nonlocal-transport model: simulator and invariant-check harness."""
+"""Dyadic nonlocal-transport model: simulator and invariant-check harness.
+
+The package re-exports the function :func:`~dyadicflow.integrate.integrate`
+under its module's name, so ``dyadicflow.integrate`` and
+``from dyadicflow import integrate`` give the function, and so does
+``import dyadicflow.integrate as m``.  The module, with the module globals
+that tests and the benchmark's tracer patch (``expm``, ``_diagnostics``),
+is ``importlib.import_module("dyadicflow.integrate")`` or
+``sys.modules["dyadicflow.integrate"]``.
+"""
 
 from dyadicflow.model import (
     Constants,

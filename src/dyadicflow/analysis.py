@@ -328,7 +328,7 @@ def check_max_principle(traj, tolerance: float = 1e-8) -> InvariantReport:
     Dissipative runs: ``sup_k a_k`` non-increasing and ``a_0`` non-decreasing.
     Inviscid runs: ``sup_k a_k`` constant and ``a_0`` identically zero.
     """
-    sups, a0s, ts = traj.states.max(axis=1), traj.states[:, 0], traj.times
+    sups, a0s, ts = traj.diag.sup_a, traj.diag.a0, traj.times
     if traj.params.alpha > 0.0:
         if len(sups) < 2:
             return InvariantReport.from_margin("max_principle", 0.0, (ts[0], None), tolerance)

@@ -22,6 +22,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from typing import Optional
@@ -42,7 +43,6 @@ from dyadicflow.integrate import (
     IntegrationAbortError,
     Termination,
     Trajectory,
-    _trajectory,
     integrate,
     linear_semigroup_samples,
 )
@@ -83,9 +83,7 @@ def inject_fault(traj: Trajectory, kind: str) -> Trajectory:
         b_prev = (a[k - 1] - a[k - 2]) * 2.0 ** (k - 1) if k >= 2 else 1.0
         shift = a[k - 1] + 1.5 * abs(b_prev) * 2.0**-k - a[k]
         a[k:] += max(shift, 1e-6)
-    return _trajectory(
-        traj.params, traj.delta, traj.times, states, traj.termination, traj.escape_time
-    )
+    return dataclasses.replace(traj, states=states)
 
 
 def run_scan(

@@ -17,6 +17,7 @@ the file loads.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -71,8 +72,8 @@ class RunConfig:
     output_prefix: str = "out/run"
 
     def __post_init__(self):
-        if not (self.t_end > 0.0):
-            raise DomainError("t_end must be positive")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
+            raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
         if not (0.0 < self.delta < 1.0):
             raise DomainError("delta must lie in (0, 1)")
 

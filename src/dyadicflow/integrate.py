@@ -43,10 +43,11 @@ A run is stored as arrays: :class:`Trajectory` holds the sample times
 ``(n,)``, the states ``(n, K+1)`` and their :class:`Diagnostics`, one
 ``(n,)`` column per scalar.  After each accepted step :func:`integrate`
 keeps the records that fall inside it and runs the monotone guard and the
-escape test on them as one block (:func:`_first_escape`); after the run
-:func:`_trajectory` stacks the states once and fills the diagnostics by
-:func:`_diagnostics`, one block of ``analysis.BLOCK_ROWS`` rows per call,
-with results equal to a per-sample computation bitwise.
+escape test on them as one block (:func:`_first_escape`); after the run it
+stacks the states once into a :class:`Trajectory`, which derives its
+diagnostics from them by :func:`_diagnostics`, one block of
+``analysis.BLOCK_ROWS`` rows per call, with results equal to a per-sample
+computation bitwise.
 
 The matrix exponential :func:`expm` is Pade scaling and squaring on numpy
 alone.  ``_phi_blocks`` and ``_semigroup_matrix`` look ``expm`` up as a
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Optional
 
@@ -130,14 +131,14 @@ class StepControls:
     record_every: float = 0.01
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if not (0.0 < self.dt_min < self.dt_init):
-            raise DomainError("need 0 < dt_min < dt_init")
+        for name in ("rel_tol", "abs_tol", "dt_init", "dt_min", "record_every"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
+        if not (self.dt_min < self.dt_init):
+            raise DomainError("need dt_min < dt_init")
         if self.max_steps <= 0:
             raise DomainError("max_steps must be positive")
-        if not (self.record_every > 0.0):
-            raise DomainError("record_every must be positive")
         if self.scheme is not None and not isinstance(self.scheme, Scheme):
             raise DomainError(f"scheme must be a Scheme value, got {self.scheme!r}")
 
@@ -172,13 +173,15 @@ class Trajectory:
 
     ``times`` (n,) and ``states`` (n, K+1) are read-only copies of what was
     passed; times must increase strictly and every entry must be finite.
+    ``diag`` is not passed but derived from the states, at ``params.norm_s``
+    and ``delta``, so ``dataclasses.replace`` recomputes it.
     """
 
     params: ModelParams
     delta: float
     times: np.ndarray
     states: np.ndarray
-    diag: Diagnostics
+    diag: Diagnostics = field(init=False)
     termination: Termination
     escape_time: Optional[float] = None
 
@@ -196,6 +199,10 @@ class Trajectory:
             raise DomainError("sample times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = [_diagnostics(a, self.params.norm_s, self.delta)
+                      for _, a in analysis._row_blocks(states)]
+        object.__setattr__(self, "diag", Diagnostics(*map(np.concatenate, zip(*blocks))))
 
     @property
     def final_state(self) -> DyadicState:
@@ -504,13 +511,13 @@ def _make_stepper(params, controls):
     scheme = _resolve_scheme(params, controls)
     rhs, m = _build_rhs(params)
     if scheme is Scheme.EXPLICIT_ADAPTIVE:
-        return _DormandPrince(rhs, params.n_modes), scheme
+        return _DormandPrince(rhs, params.n_modes)
     if scheme is Scheme.DUHAMEL_IMEX:
         # only this scheme gets a zero linear part at alpha = 0: there it is RK4
         if m is None:
             m = np.zeros((params.n_modes, params.n_modes))
-        return _Etdrk4(m, _rhs_inviscid_array), scheme
-    return _Rk4Kahan(rhs), scheme
+        return _Etdrk4(m, _rhs_inviscid_array)
+    return _Rk4Kahan(rhs)
 
 
 def _scaled_error(err, y_old, y_new, rtol, atol):
@@ -537,18 +544,6 @@ def _diagnostics(a: np.ndarray, norm_s: float, delta: float) -> tuple[np.ndarray
         analysis._front_index(b),
         analysis._holder_seminorm(b, 0.5),
     )
-
-
-def _trajectory(params, delta, times, states, termination, escape_time=None) -> Trajectory:
-    """Stack the recorded times and states and fill their diagnostics, one block at a time.
-
-    ``states`` is an ``(n, K+1)`` array or a sequence of states or of blocks of them.
-    """
-    states = np.vstack(states)
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = [_diagnostics(a, params.norm_s, delta) for _, a in analysis._row_blocks(states)]
-    diag = Diagnostics(*map(np.concatenate, zip(*blocks)))
-    return Trajectory(params, delta, times, states, diag, termination, escape_time)
 
 
 def _first_escape(ts, ys, norm_s, threshold, abort_tol) -> Optional[int]:
@@ -664,7 +659,7 @@ def step(
     if not (dt > 0.0):
         raise DomainError("dt must be positive")
     y = _check_state(params, state)
-    stepper, _ = _make_stepper(params, controls)
+    stepper = _make_stepper(params, controls)
     y_new, h_next = None, (_rung(dt, controls) if stepper.ladder else dt)
     with np.errstate(over="ignore", invalid="ignore"):
         while y_new is None:
@@ -726,7 +721,7 @@ def integrate(
         a0.size < 2 or float(np.min(np.diff(a0))) >= -1e-12
     )
 
-    stepper, _ = _make_stepper(params, controls)
+    stepper = _make_stepper(params, controls)
     abort_tol = monotone_abort_tol if guard else None
     times: list[float] = []
     blocks: list[np.ndarray] = []  # (rows, K+1) states; none is written later
@@ -745,9 +740,9 @@ def integrate(
         return row is not None
 
     if keep([t0], a0[None]):
-        return _trajectory(params, delta, times, blocks, termination, escape_time)
+        return Trajectory(params, delta, times, np.vstack(blocks), termination, escape_time)
     if t_end == t0:
-        return _trajectory(params, delta, times, blocks, Termination.REACHED_T_END)
+        return Trajectory(params, delta, times, np.vstack(blocks), Termination.REACHED_T_END)
 
     r = controls.record_every
     rec, short = _record_times(t0, t_end, r)
@@ -816,7 +811,7 @@ def integrate(
         # a state past the threshold reports the escape, whatever stopped the run
         keep([t], y[None])
 
-    return _trajectory(params, delta, times, blocks, termination, escape_time)
+    return Trajectory(params, delta, times, np.vstack(blocks), termination, escape_time)
 
 
 def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> DyadicState:
@@ -880,13 +875,14 @@ def _semigroup_matrix(params: ModelParams, t: float) -> np.ndarray:
 def detect_escape(traj: Trajectory, threshold: float, s: float) -> Optional[float]:
     """Earliest sample time whose X^s norm exceeds the threshold, if any.
 
-    The norms are computed one block of samples at a time.
+    The norms are computed one block of samples at a time, by the escape
+    test of :func:`integrate` (:func:`_first_escape`).
     """
     a0 = traj.states[0]
     if not (threshold > _xs_norms(a0, np.diff(a0), s)):
         raise DomainError("threshold must exceed the initial norm")
     for lo, a in analysis._row_blocks(traj.states):
-        above = np.flatnonzero(_xs_norms(a, np.diff(a, axis=1), s) > threshold)
-        if above.size:
-            return float(traj.times[lo + int(above[0])])
+        row = _first_escape(traj.times[lo:], a, s, threshold, None)
+        if row is not None:
+            return float(traj.times[lo + row])
     return None

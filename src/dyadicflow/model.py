@@ -73,8 +73,8 @@ class ModelParams:
             raise DomainError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.trunc_k < 2:
             raise DomainError(f"trunc_k must be >= 2, got {self.trunc_k}")
-        if not (self.norm_s > 0.0):
-            raise DomainError(f"norm_s must be > 0, got {self.norm_s}")
+        if not (self.norm_s > 0.0 and math.isfinite(self.norm_s)):
+            raise DomainError(f"norm_s must be finite and > 0, got {self.norm_s}")
         if not isinstance(self.tail, Tail):
             raise DomainError(f"tail must be a Tail value, got {self.tail!r}")
 

@@ -31,6 +31,7 @@ from dyadicflow import analysis
 from dyadicflow.analysis import BlowupDiagnostics, InvariantReport
 from dyadicflow.integrate import Trajectory
 from dyadicflow.model import DyadicState, slopes, weighted_slopes
+from dyadicflow.scenarios import profile_reconstruction
 
 TRAJECTORY_HEADER = [
     "t", "a_0", "sup_a", "xs_norm", "J", "max_ratio", "front_index",
@@ -263,8 +264,6 @@ def save_outputs(traj: Trajectory, reports, prefix) -> dict[str, Path]:
     """
     prefix = str(prefix)
     final = traj.final_state
-    from dyadicflow.scenarios import profile_reconstruction
-
     t_cells, j_cells = _cells(traj.times), _cells(traj.diag.j_value)
     blowup = analysis.blowup_diagnostics(traj)
     return {

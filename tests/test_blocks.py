@@ -25,9 +25,9 @@ from dyadicflow.integrate import (
     Scheme,
     StepControls,
     Termination,
+    Trajectory,
     _diagnostics,
     _first_escape,
-    _trajectory,
     detect_escape,
     integrate,
 )
@@ -340,7 +340,7 @@ def _from_slopes(slopes, alpha):
     a = np.cumsum(b * np.exp2(-np.arange(b.shape[1], dtype=float)), axis=1)
     p = ModelParams(alpha=alpha, trunc_k=b.shape[1] - 1)
     times = [0.1 * i for i in range(len(a))]
-    return _trajectory(p, 0.5, times, a, Termination.REACHED_T_END)
+    return Trajectory(p, 0.5, times, a, Termination.REACHED_T_END)
 
 
 def _split_retreat():
@@ -377,17 +377,16 @@ def trajectories():
 
 def _at_delta(traj, delta):
     """The trajectory's samples with their diagnostics rebuilt at ``delta``."""
-    return _trajectory(traj.params, delta, traj.times, traj.states, traj.termination,
-                       traj.escape_time)
+    return dataclasses.replace(traj, delta=delta)
 
 
 def _fault_at(traj, i):
     """The first ``i + 1`` samples of ``traj``, the last one pushed out of order."""
     # inject_fault corrupts the middle one of three samples
-    three = _trajectory(traj.params, traj.delta, traj.times[i - 1 : i + 2],
-                        traj.states[i - 1 : i + 2], traj.termination)
+    three = Trajectory(traj.params, traj.delta, traj.times[i - 1 : i + 2],
+                       traj.states[i - 1 : i + 2], traj.termination)
     states = np.concatenate([traj.states[:i], inject_fault(three, "sign-flip").states[1:2]])
-    return _trajectory(traj.params, traj.delta, traj.times[: i + 1], states, traj.termination)
+    return Trajectory(traj.params, traj.delta, traj.times[: i + 1], states, traj.termination)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadicflow.model import DyadicState, ModelParams, Tail
-from dyadicflow.integrate import Scheme, StepControls, Termination, _trajectory, integrate
+from dyadicflow.model import DomainError, DyadicState, ModelParams, Tail
+from dyadicflow.integrate import Scheme, StepControls, Termination, Trajectory, integrate
 from dyadicflow import analysis, output
 from dyadicflow.analysis import BlowupDiagnostics, InvariantReport, blowup_diagnostics
 from dyadicflow.config import (
@@ -90,7 +90,38 @@ def traj():
     return integrate(p, gen_front(8, 3, 1.2, 0.5), 0.5, c)
 
 
+# the float fields that must be finite, with the config section each sits in
+FINITE_FIELDS = [
+    ("controls", "rel_tol"),
+    ("controls", "abs_tol"),
+    ("controls", "dt_init"),
+    ("controls", "dt_min"),
+    ("controls", "record_every"),
+    ("model", "norm_s"),
+    ("run", "t_end"),
+]
+CONSTRUCTORS = {
+    "controls": StepControls,
+    "model": lambda **kw: ModelParams(alpha=0.25, trunc_k=16, **kw),
+    "run": RunConfig,
+}
+
+
 class TestConfig:
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("section, name", FINITE_FIELDS)
+    def test_non_finite_rejected_by_constructor(self, section, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            CONSTRUCTORS[section](**{name: value})
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("section, name", FINITE_FIELDS)
+    def test_non_finite_rejected_at_load(self, tmp_path, section, name, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{name} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {name} must be finite")):
+            load_config(path)
+
     def test_minimal_config_gets_defaults(self, tmp_path):
         path = tmp_path / "min.cfg"
         path.write_text("[model]\nalpha = 0.3\n")
@@ -265,8 +296,8 @@ class TestOutputs:
         a = np.full((3, 9), 0.7)
         a[1, 1:] += 2.0**-4
         a[1, 2:] -= 2.0**-5
-        const = _trajectory(ModelParams(alpha=0.3, trunc_k=8), 0.5, [0.0, 0.01, 0.02], a,
-                            Termination.REACHED_T_END)
+        const = Trajectory(ModelParams(alpha=0.3, trunc_k=8), 0.5, [0.0, 0.01, 0.02], a,
+                           Termination.REACHED_T_END)
         d = const.diag
         assert math.isnan(d.max_ratio[0]) and math.copysign(1.0, d.max_ratio[1]) == -1.0
         assert d.max_ratio[1] == 0.0 and math.isnan(d.max_ratio[2])

@@ -27,6 +27,8 @@ from dyadicflow.integrate import (
     StepControls,
     StepUnderflowError,
     Termination,
+    Trajectory,
+    _diagnostics,
     detect_escape,
     integrate,
     linear_semigroup,
@@ -34,6 +36,7 @@ from dyadicflow.integrate import (
     step,
 )
 from dyadicflow.analysis import front_index, holder_seminorm, slope_ratio_report
+from dyadicflow.cli import inject_fault
 from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric
 from conftest import random_monotone_state
 from phi_literals import PHI_ACTIONS
@@ -778,6 +781,39 @@ class TestTrajectory:
         with pytest.raises(InvalidInputError):
             dataclasses.replace(traj, times=traj.times[:-1])
 
+    @staticmethod
+    def _columns(diag):
+        return repr([getattr(diag, f.name).tolist() for f in dataclasses.fields(Diagnostics)])
+
+    def test_diag_follows_delta(self, traj):
+        again = integrate(traj.params, gen_geometric(6, 0.5), 0.3,
+                          StepControls(record_every=0.1), delta=0.3)
+        moved = dataclasses.replace(traj, delta=0.3)
+        assert repr(moved.diag.j_value.tolist()) == repr(again.diag.j_value.tolist())
+        assert moved.diag.j_value.tolist() != traj.diag.j_value.tolist()
+
+    def test_diag_follows_samples(self, traj):
+        head = dataclasses.replace(traj, times=traj.times[:2], states=traj.states[:2])
+        for f in dataclasses.fields(Diagnostics):
+            column = getattr(head.diag, f.name)
+            assert column.shape == (2,)
+            assert repr(column.tolist()) == repr(getattr(traj.diag, f.name)[:2].tolist())
+
+    @pytest.mark.parametrize("kind", ["sign-flip", "sqrt2-ratio"])
+    def test_injected_fault_carries_its_own_diag(self, traj, kind):
+        hurt = inject_fault(Trajectory(traj.params, traj.delta, traj.times, traj.states,
+                                       traj.termination), kind)
+        assert not np.array_equal(hurt.states, traj.states)
+        want = Diagnostics(*_diagnostics(hurt.states, traj.params.norm_s, traj.delta))
+        assert self._columns(hurt.diag) == self._columns(want)
+
+    def test_diag_is_not_an_argument(self, traj):
+        with pytest.raises(TypeError):
+            Trajectory(traj.params, traj.delta, traj.times, traj.states,
+                       termination=traj.termination, diag=traj.diag)
+        with pytest.raises(ValueError):
+            dataclasses.replace(traj, diag=traj.diag)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_entries_must_be_finite(self, traj, bad):
         states = traj.states.copy()
@@ -920,7 +956,7 @@ class TestEtdrk4:
         errors = []
         for j in (2, 3, 4):
             h = math.ldexp(0.01, -j)
-            stepper, _ = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
+            stepper = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
             y = s0.a.copy()
             for i in range(round(t_end / h)):
                 y, _ = stepper.attempt(i * h, y, h)
@@ -933,7 +969,7 @@ class TestEtdrk4:
         # .. 0.01 * 2**-6: the estimate falls by about 2**4 per halving (an
         # embedded ETD2RK estimate falls by about 2**3)
         p, s0, _ = ETD_CASES["imex_front16"]
-        stepper, _ = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
+        stepper = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
         norms = []
         for j in (3, 4, 5, 6):
             _, err = stepper.attempt(0.0, s0.a.copy(), math.ldexp(0.01, -j))
@@ -963,7 +999,7 @@ class TestEtdrk4:
             return integrate_module._rhs_inviscid_array(y)
 
         def fresh(y, dt):
-            return integrate_module._make_stepper(p, c)[0].attempt(0.0, y.copy(), dt)
+            return integrate_module._make_stepper(p, c).attempt(0.0, y.copy(), dt)
 
         stepper = integrate_module._Etdrk4(integrate_module.dissipation_matrix(p), counted)
         y = s0.a.copy()
@@ -982,7 +1018,7 @@ class TestEtdrk4:
 
     def test_result_is_read_only(self):
         p, s0, _ = ETD_CASES["imex_front16"]
-        stepper, _ = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
+        stepper = integrate_module._make_stepper(p, StepControls(scheme=Scheme.DUHAMEL_IMEX))
         y_new, _ = stepper.attempt(0.0, s0.a.copy(), 1e-3)
         assert not y_new.flags.writeable
         with pytest.raises(ValueError):
