@@ -4,13 +4,15 @@ Three schemes are provided:
 
 * ``EXPLICIT_ADAPTIVE`` -- Dormand-Prince 5(4) embedded pair with error
   control; the right choice for inviscid runs and mildly stiff cases.  Its
-  stages share one buffer per run, and the last stage of an attempt serves
-  as the first of the next one (first same as last), so an attempt costs
-  six right-hand sides, a rejected one too.  Its steps run towards
-  ``t_end`` whatever the record cadence: the records inside a step are
-  read off the order-4 continuous extension of the pair (dense output,
-  from the same seven stages), and a record on the step end takes the
-  stepped state.
+  stages, their inputs and the error estimate are written in place into
+  buffers of the run by one right-hand side closure ``rhs(y, out)``
+  (:func:`_build_rhs`), so an attempt allocates only the state it returns.
+  The last stage of an attempt serves as the first of the next one (first
+  same as last), so an attempt costs six right-hand sides, a rejected one
+  too.  Its steps run towards ``t_end`` whatever the record cadence: the
+  records inside a step are read off the order-4 continuous extension of
+  the pair (dense output, from the same seven stages), and a record on the
+  step end takes the stepped state.
 * ``DUHAMEL_IMEX`` -- fourth-order exponential integrator (Cox-Matthews
   ETDRK4 in phi-form): the linear dissipative flow enters through the
   exact matrix exponential and its phi-functions (one scaling-and-squaring
@@ -219,7 +221,6 @@ class Trajectory:
 # Dormand-Prince 5(4) tableau; the 5th-order solution is propagated and the
 # difference to the embedded 4th-order one is the error estimate.  Its weight
 # row b is _DP_A[6] followed by 0, so the last stage is taken at the new state.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -242,14 +243,17 @@ _DP_D = np.array([
 
 
 class _DormandPrince:
-    """Dormand-Prince 5(4), first same as last, on an autonomous ``rhs``.
+    """Dormand-Prince 5(4), first same as last, on an autonomous ``rhs(y, out)``.
 
     The seventh stage is evaluated at the new state, so it is the first stage
     of the next attempt.  ``attempt`` reuses it when called from the state it
     returned last, and reuses the first stage when retried from the state it
     started from last.  Both are recognised by identity, which is sound
     because the returned state is read-only, callers do not mutate theirs,
-    and a stepper serves one :func:`integrate` or :func:`step` call only.
+    and a stepper serves one :func:`integrate` or :func:`step` call only.  As
+    in dopri5, the stages, their inputs and the error estimate go into arrays
+    of the stepper, which the next attempt overwrites; the state it returns
+    is its only new array.
     """
 
     err_exponent = 1.0 / 5.0
@@ -257,25 +261,34 @@ class _DormandPrince:
     ladder = False
     interpolates = True
 
-    def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray], n: int):
+    def __init__(self, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int):
         self.rhs = rhs
         self._ks = np.empty((7, n))  # one row per stage
+        self._g = np.empty(n)  # the input of each stage but the first and last
+        self._err = np.empty(n)
         self._y = self._y_new = None  # start and result of the last attempt
         self._dt = None
 
     def attempt(self, t, y, dt):
-        ks = self._ks
+        ks, g, rhs = self._ks, self._g, self.rhs
         if y is self._y_new:
             ks[0] = ks[6]
         elif y is not self._y:
-            ks[0] = self.rhs(t, y)
-        for i in range(1, 7):
-            yi = y + dt * (_DP_A[i] @ ks[:i])
-            ks[i] = self.rhs(t + _DP_C[i] * dt, yi)
-        err = dt * (_DP_E @ ks)
-        yi.flags.writeable = False
-        self._y, self._y_new, self._dt = y, yi, dt
-        return yi, err
+            rhs(y, ks[0])
+        for i in range(1, 6):
+            np.matmul(_DP_A[i], ks[:i], out=g)
+            g *= dt
+            g += y
+            rhs(g, ks[i])
+        y_new = _DP_A[6] @ ks[:6]
+        y_new *= dt
+        y_new += y
+        rhs(y_new, ks[6])
+        err = np.matmul(_DP_E, ks, out=self._err)
+        err *= dt
+        y_new.flags.writeable = False
+        self._y, self._y_new, self._dt = y, y_new, dt
+        return y_new, err
 
     def interpolate(self, theta: np.ndarray) -> np.ndarray:
         """States at ``t + theta * dt`` of the last attempt, one row per ``theta``.
@@ -478,11 +491,11 @@ class _Rk4Kahan:
         self.carry = None
 
     def attempt(self, t, y, dt):
-        f = self.rhs
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = f(t + dt, y + dt * k3)
+        f, n = self.rhs, y.size
+        k1 = f(y, np.empty(n))
+        k2 = f(y + 0.5 * dt * k1, np.empty(n))
+        k3 = f(y + 0.5 * dt * k2, np.empty(n))
+        k4 = f(y + dt * k3, np.empty(n))
         incr = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if self.carry is None:
             self.carry = np.zeros_like(y)
@@ -493,12 +506,18 @@ class _Rk4Kahan:
 
 
 def _build_rhs(params: ModelParams):
-    """Return (rhs(t, y), M) for the configured system; M is None at alpha = 0."""
+    """Return (rhs(y, out), M): rhs writes y' into out and returns it; M is None at alpha 0."""
     nl = _rhs_inviscid_array
     if params.alpha <= 0.0:
-        return (lambda t, y: nl(y)), None
+        return nl, None
     m = dissipation_matrix(params)
-    return (lambda t, y: nl(y) - m @ y), m
+    mv = np.empty(params.n_modes)  # M y, per run
+
+    def rhs(y, out):
+        nl(y, out)
+        return np.subtract(out, np.matmul(m, y, out=mv), out=out)
+
+    return rhs, m
 
 
 def _resolve_scheme(params: ModelParams, controls: StepControls) -> Scheme:
@@ -701,6 +720,8 @@ def integrate(
     """
     a0 = _check_state(params, state0)
     t0 = state0.t
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end}")
     if t_end < t0:
         raise DomainError("t_end must not precede the initial time")
 
@@ -849,8 +870,9 @@ def linear_semigroup_samples(
     """
     if params.alpha <= 0.0:
         raise DomainError("the semigroup requires alpha > 0")
-    if not (t_end > 0.0):
-        raise DomainError("t_end must be positive")
+    for name, value in (("t_end", t_end), ("record_every", record_every)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     y = _check_state(params, state0)
     rec, short = _record_times(state0.t, state0.t + t_end, record_every)
     full = rec[:-1] if short else rec

@@ -273,12 +273,20 @@ def rhs_inviscid(state: DyadicState) -> np.ndarray:
     return _rhs_inviscid_array(state.a)
 
 
-def _rhs_inviscid_array(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.size)
+def _rhs_inviscid_array(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The transport term at ``a``, written into ``out`` (a new array if None)."""
+    if out is None:
+        out = np.empty(a.size)
     out[0] = 0.0
-    # -d**2 * 2**k as an exact scaling by 2**k: a zero d stays -0.0 also where
-    # 2**k is not a finite double (k >= 1024), instead of 0 * inf = NaN
-    np.ldexp(-(a[1:] - a[:-1]) ** 2, _transport_exponents(a.size), out=out[1:])
+    d = np.subtract(a[1:], a[:-1], out=out[1:])
+    np.square(d, out=d)
+    scale = _transport_scale(a.size)
+    if scale is None:
+        # -d**2 * 2**k as an exact scaling by 2**k: a zero d stays -0.0 also where
+        # 2**k is not a finite double (k >= 1024), instead of 0 * inf = NaN
+        np.ldexp(np.negative(d, out=d), _transport_exponents(a.size), out=d)
+    else:
+        np.multiply(d, scale, out=d)  # the same exact scaling, by a finite -2**k
     return out
 
 
@@ -291,6 +299,16 @@ def _transport_exponents(size: int) -> np.ndarray:
     k = np.arange(1, size)
     k.flags.writeable = False
     return k
+
+
+@functools.lru_cache(maxsize=64)
+def _transport_scale(size: int) -> np.ndarray | None:
+    """Read-only ``-2**k`` for k = 1 .. size - 1; None when one is not finite."""
+    if size > 1024:
+        return None
+    scale = -np.ldexp(1.0, _transport_exponents(size))
+    scale.flags.writeable = False
+    return scale
 
 
 def rhs_full(params: ModelParams, state: DyadicState) -> np.ndarray:

@@ -186,6 +186,12 @@ class TestIntegrate:
         assert traj.termination is Termination.REACHED_T_END
         assert traj.times.tolist() == [0.0]
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_t_end_rejected(self, t_end):
+        s = gen_front(8, 4, 1.2, 0.5)
+        with pytest.raises(DomainError, match="t_end must be finite"):
+            integrate(ModelParams(alpha=0.25, trunc_k=8), s, t_end, StepControls())
+
     def test_riccati_to_t1(self):
         p = ModelParams(alpha=0.0, trunc_k=2)
         s = DyadicState(t=0.0, a=[0.0, 1.0, 1.0])
@@ -396,11 +402,11 @@ class _StackDormandPrince(integrate_module._DormandPrince):
     ])
 
     def attempt(self, t, y, dt):
-        a, c, e = integrate_module._DP_A, integrate_module._DP_C, integrate_module._DP_E
-        k = [self.rhs(t, y)]
+        a, e = integrate_module._DP_A, integrate_module._DP_E
+        k = [self.rhs(y, np.empty_like(y))]
         for i in range(1, 7):
             yi = y + dt * (a[i] @ np.stack(k[: len(a[i])]))
-            k.append(self.rhs(t + c[i] * dt, yi))
+            k.append(self.rhs(yi, np.empty_like(yi)))
         ks = np.stack(k)
         y_new = y + dt * (self.B @ ks)
         self.last = (y, y_new, ks, dt)
@@ -435,6 +441,13 @@ DP_CASES = {
         StepControls(rel_tol=1e-9, abs_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE,
                      record_every=0.005), {"escape_threshold": 1e4},
     ),
+    # the alpha 0.35, K 20 cell of the criterion-09 scan, where most of its
+    # attempts are spent
+    "scan_front_k20": (
+        ModelParams(alpha=0.35, trunc_k=20), gen_front(20, 7, 1.3, 0.5, 10.0), 0.1,
+        StepControls(rel_tol=1e-9, abs_tol=1e-12, scheme=Scheme.EXPLICIT_ADAPTIVE,
+                     record_every=0.005), {"escape_threshold": 1e4},
+    ),
     "blowup_k64": (
         ModelParams(alpha=0.25, trunc_k=64), gen_front(64, 4, 1.2, 0.5, 10.0), 0.2,
         StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE), {},
@@ -457,9 +470,9 @@ def _count_calls(monkeypatch, stepper_cls):
     original_rhs = integrate_module._rhs_inviscid_array
     original_attempt = stepper_cls.attempt
 
-    def rhs(y):
+    def rhs(y, out=None):
         rhs_calls.append(None)
-        return original_rhs(y)
+        return original_rhs(y, out)
 
     def attempt(self, t, y, dt):
         if attempts and attempts[-1] == t:
@@ -503,9 +516,9 @@ class TestDormandPrince:
         rhs, _ = integrate_module._build_rhs(p)
         calls = []
 
-        def counted(t, y):
-            calls.append(t)
-            return rhs(t, y)
+        def counted(y, out):
+            calls.append(None)
+            return rhs(y, out)
 
         def fresh(y, dt):
             return integrate_module._DormandPrince(rhs, p.n_modes).attempt(0.0, y.copy(), dt)
@@ -535,6 +548,33 @@ class TestDormandPrince:
         with pytest.raises(ValueError):
             y_new[0] = 1.0
 
+    def test_attempts_leave_earlier_states_alone(self):
+        # the stages are written into the stepper's own buffers: no attempt
+        # writes into the caller's state or a state an earlier attempt returned
+        p, s0, _, c, _ = DP_CASES["scan_front_k20"]
+        rhs, _ = integrate_module._build_rhs(p)
+        stepper = integrate_module._DormandPrince(rhs, p.n_modes)
+        buffers = (stepper._ks, stepper._g, stepper._err)
+        y = s0.a.copy()
+        states, copies = [y], [y.copy()]
+
+        def run(t, start, dt, accepted):
+            y_new, err = stepper.attempt(t, start, dt)
+            error = integrate_module._scaled_error(err, start, y_new, c.rel_tol, c.abs_tol)
+            assert (error <= 1.0) == accepted
+            assert not any(np.shares_memory(y_new, a) for a in (*buffers, *states))
+            assert not np.shares_memory(err, y_new)
+            states.append(y_new)
+            copies.append(y_new.copy())
+            for a, b in zip(states, copies):
+                assert a.tobytes() == b.tobytes()
+            return y_new
+
+        y1 = run(0.0, y, 1e-5, accepted=True)
+        run(1e-5, y1, 1e-3, accepted=False)  # reuses the last stage of the first attempt
+        y2 = run(1e-5, y1, 1e-5, accepted=True)  # the retry reuses the first stage
+        run(2e-5, y2, 1e-5, accepted=True)  # and reuses the last stage again
+
 
 # (params, initial state, t_end, rel_tol) of the dense-output accuracy cases
 DENSE_CASES = {
@@ -559,8 +599,8 @@ def _dop853_reference(case):
     """
     p, s0, t_end, _ = DENSE_CASES[case]
     rhs, _ = integrate_module._build_rhs(p)
-    sol = solve_ivp(rhs, (0.0, t_end), s0.a, method="DOP853", rtol=1e-13, atol=1e-16,
-                    max_step=1e-3, dense_output=True)
+    sol = solve_ivp(lambda t, y: rhs(y, np.empty_like(y)), (0.0, t_end), s0.a,
+                    method="DOP853", rtol=1e-13, atol=1e-16, max_step=1e-3, dense_output=True)
     assert sol.success
     return sol.sol
 
@@ -671,6 +711,14 @@ class TestLinearSemigroup:
             np.testing.assert_allclose(a, linear_semigroup(p, s, t).a, rtol=1e-12)
         with pytest.raises(DomainError):
             linear_semigroup_samples(ModelParams(alpha=0.0, trunc_k=10), s, 0.5, 0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["t_end", "record_every"])
+    def test_samples_reject_non_finite(self, name, value):
+        args = {"t_end": 1.0, "record_every": 0.1, name: value}
+        p = ModelParams(alpha=0.3, trunc_k=8)
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            linear_semigroup_samples(p, gen_front(8, 4, 1.2, 0.5), **args)
 
     @pytest.mark.parametrize(
         "t_end, times", [(1.0, [0.0, 0.3, 0.6, 3 * 0.3, 1.0]), (0.2, [0.0, 0.2])]
@@ -1046,7 +1094,7 @@ class TestEtdrk4:
         nl = integrate_module._rhs_inviscid_array
         stepper = integrate_module._Etdrk4(np.zeros((n, n)), nl)
         y_new, err = stepper.attempt(0.0, y, 0.01)
-        rk4, _ = integrate_module._Rk4Kahan(lambda t, y: nl(y)).attempt(0.0, y, 0.01)
+        rk4, _ = integrate_module._Rk4Kahan(nl).attempt(0.0, y, 0.01)
         np.testing.assert_allclose(y_new, rk4, rtol=0, atol=1e-15)
         # the estimate h/6 (N(y_new) - N(c)) is fourth order, not zero
         assert 0.0 < np.max(np.abs(err)) < 1e-4

@@ -254,6 +254,22 @@ class TestRhs:
             full[1:] -= transport
             assert np.array_equal(rhs_full(p, state(a)), full)
 
+    @pytest.mark.parametrize("kmax", [12, 1100])
+    def test_written_in_place(self, rng, kmax):
+        # the form that writes into a buffer returns it, bitwise equal to the
+        # allocating form and to -d**2 scaled by 2**k, signed zeros included:
+        # a zero increment gives -0.0, also at k >= 1024 where 2**k overflows
+        from dyadicflow.model import _rhs_inviscid_array
+
+        a = np.repeat(random_monotone_array(rng, kmax), 2)[: kmax + 1]  # every other d is 0
+        out = np.full(a.size, np.nan)
+        with np.errstate(over="ignore"):
+            assert _rhs_inviscid_array(a, out) is out
+            allocated = _rhs_inviscid_array(a)
+            expected = np.ldexp(-np.diff(a) ** 2, np.arange(1, a.size))
+        assert out.tobytes() == allocated.tobytes() == np.append(0.0, expected).tobytes()
+        assert np.signbit(out[1:][np.diff(a) == 0.0]).all()
+
 
 class TestNormsAndSlopes:
     def test_xs_norm_examples(self):
