@@ -86,6 +86,15 @@ class TestStep:
         with pytest.raises(DomainError):
             step(p, DyadicState(t=0.0, a=[0, 1, 1]), StepControls(), 0.0)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_non_finite_dt_rejected(self, scheme, dt):
+        # unchecked, dt = inf looped for ever under Dormand-Prince (each
+        # rejection proposed 0.2 * inf) and raised other errors elsewhere
+        p = ModelParams(alpha=0.3, trunc_k=4)
+        with pytest.raises(DomainError, match="dt must be finite and positive"):
+            step(p, constant_state(4), StepControls(scheme=scheme), dt)
+
     @pytest.mark.parametrize(
         "scheme, tol",
         [
@@ -390,6 +399,50 @@ class TestIntegrate:
             assert d.holder_half[0] == holder_seminorm(state, 0.5)
 
 
+def _special_entries(rng, shape, zeros=True):
+    """Normal entries scaled by 2**-40 .. 2**40, with about 5% each of inf,
+    -inf and nan, and unless ``zeros`` is false 5% each of 0.0 and -0.0."""
+    x = rng.standard_normal(shape) * np.exp2(rng.integers(-40, 40, shape))
+    u = rng.random(shape)
+    specials = [np.inf, -np.inf, np.nan] + ([0.0, -0.0] if zeros else [])
+    for j, value in enumerate(specials):
+        x[(u >= 0.05 * j) & (u < 0.05 * (j + 1))] = value
+    return x
+
+
+class TestVectorProducts:
+    """The run path's vector products go through ``ndarray.dot``, which makes
+    the BLAS call of ``np.matmul`` without its dispatch: the bits must be the
+    same, inf and nan included, or the outputs would move."""
+
+    @pytest.mark.parametrize("n", [3, 13, 21, 65, 1025])
+    def test_stage_sums_match_matmul(self, rng, n):
+        # the tableau rows, (i,) for i = 1..7, and random rows of each length;
+        # numpy takes a row of length 1 as a scalar (daxpy), which skips a zero
+        # coefficient, so there 0 * inf reads 0, not nan: the tableau's one
+        # such row, (1/5,), has none
+        rows = [*integrate_module._DP_A[1:], integrate_module._DP_E, integrate_module._DP_D]
+        rows += [_special_entries(rng, i, zeros=i > 1) for i in range(1, 8)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for v in rows:
+                for _ in range(4):
+                    ks = _special_entries(rng, (v.size, n))
+                    out = np.empty(n)
+                    assert v.dot(ks, out=out) is out
+                    assert out.tobytes() == np.matmul(v, ks).tobytes()
+                    assert v.dot(ks).tobytes() == (v @ ks).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 13, 21, 65, 1025])
+    def test_matvecs_match_matmul(self, rng, n):
+        with np.errstate(invalid="ignore", over="ignore"):
+            for m, y in [(rng.standard_normal((n, n)), rng.standard_normal(n)),
+                         (_special_entries(rng, (n, n)), _special_entries(rng, n))]:
+                out = np.empty(n)
+                assert m.dot(y, out=out) is out
+                assert out.tobytes() == np.matmul(m, y).tobytes()
+                assert m.dot(y).tobytes() == (m @ y).tobytes()
+
+
 class _StackDormandPrince(integrate_module._DormandPrince):
     """Reference: one stack of the stages per product, seven RHS per attempt,
     and dopri5's dense output of the last attempt one state at a time."""
@@ -692,6 +745,12 @@ class TestLinearSemigroup:
         with pytest.raises(DomainError):
             linear_semigroup(ModelParams(alpha=0.0, trunc_k=4), s, 1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_t(self, t):
+        p = ModelParams(alpha=0.25, trunc_k=4)
+        with pytest.raises(DomainError, match="^t must be finite and non-negative"):
+            linear_semigroup(p, constant_state(4), t)
+
     def test_monotonicity_preserved(self, rng):
         p = ModelParams(alpha=0.3, trunc_k=10)
         for _ in range(5):
@@ -989,8 +1048,40 @@ ETD_CASES = {
 }
 
 
+class _MatmulEtdrk4(integrate_module._Etdrk4):
+    """Reference: the table applications written with ``@``, N(y) evaluated afresh."""
+
+    def attempt(self, t, y, dt):
+        e_half, p_half = self._tables(0.5 * dt)[:2]
+        e, _, w1, w2, w3 = self._tables(dt)
+        nl = self.nl
+        n0 = nl(y)
+        ey_half = e_half @ y
+        a = ey_half + p_half @ n0
+        na = nl(a)
+        nb = nl(ey_half + p_half @ na)
+        nc = nl(e_half @ a + p_half @ (2.0 * nb - n0))
+        y_new = e @ y + w1 @ n0 + w2 @ (na + nb) + w3 @ nc
+        return y_new, w3 @ (nl(y_new) - nc)
+
+
 class TestEtdrk4:
     """The exponential stepper on its own: order, its error estimate, RK4 at M = 0."""
+
+    def test_matches_matmul_reference(self, monkeypatch):
+        p, s0, t_end = ETD_CASES["imex_front16"]
+        c = StepControls(scheme=Scheme.DUHAMEL_IMEX)
+        m = integrate_module.dissipation_matrix(p)
+        dt = integrate_module._rung(c.dt_init, c)
+        nl = integrate_module._rhs_inviscid_array
+        y_new, err = integrate_module._Etdrk4(m, nl).attempt(0.0, s0.a.copy(), dt)
+        y_ref, err_ref = _MatmulEtdrk4(m, nl).attempt(0.0, s0.a.copy(), dt)
+        assert y_new.tobytes() == y_ref.tobytes() and err.tobytes() == err_ref.tobytes()
+        # and every attempt of the benchmark's run
+        lean = integrate(p, s0, t_end, c)
+        monkeypatch.setattr(integrate_module, "_Etdrk4", _MatmulEtdrk4)
+        ref = integrate(p, s0, t_end, c)
+        assert _run_bytes(lean) == _run_bytes(ref)
 
     def test_fourth_order_on_rungs(self):
         # fixed rung steps h, h/2, h/4 on the imex_front16 data against a
