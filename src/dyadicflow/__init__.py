@@ -43,7 +43,6 @@ from dyadicflow.integrate import (
     detect_escape,
     integrate,
     linear_semigroup,
-    step,
 )
 from dyadicflow.analysis import (
     CHECKS,

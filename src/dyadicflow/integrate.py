@@ -31,15 +31,13 @@ Three schemes are provided:
 * ``REFERENCE_FIXED_RK4`` -- classical fixed-step RK4 with compensated
   (Kahan) state accumulation, used as a cross-validation reference.
 
-The default for dissipative runs is the IMEX scheme.  :func:`step` and
-:func:`integrate` share one step-size controller, :func:`_attempt`; for a
-stepper whose ``ladder`` attribute is set it rounds the proposals down to a
-rung by :func:`_rung`, which also rounds ``dt_init`` and the ``dt`` given
-to :func:`step`.  The two schemes without a continuous extension, IMEX and
-RK4, land a step on every record time; within a record interval
-:func:`integrate` counts the IMEX position as an exact dyadic fraction of
-it, so its steps add up to the interval in whole rungs, as in the binary
-expansion of what is left.
+The default for dissipative runs is the IMEX scheme.  One step-size
+controller, :func:`_attempt`, decides every attempt of :func:`integrate`;
+for a stepper whose ``ladder`` attribute is set, :func:`_rung` rounds the
+proposals and ``dt_init`` down to a rung.  IMEX and RK4 have no continuous
+extension and land a step on every record time; within a record interval
+the IMEX position is an exact dyadic fraction of it, so its steps add up to
+the interval in whole rungs, as in the binary expansion of what is left.
 
 A run is stored as arrays: :class:`Trajectory` holds the sample times
 ``(n,)``, the states ``(n, K+1)`` and their :class:`Diagnostics`, one
@@ -255,7 +253,7 @@ class _DormandPrince:
     returned last, and reuses the first stage when retried from the state it
     started from last.  Both are recognised by identity, which is sound
     because the returned state is read-only, callers do not mutate theirs,
-    and a stepper serves one :func:`integrate` or :func:`step` call only.  As
+    and a stepper serves one :func:`integrate` call only.  As
     in dopri5, the stages, their inputs and the error estimate go into arrays
     of the stepper, which the next attempt overwrites; the state it returns
     is its only new array.
@@ -428,8 +426,7 @@ class _Etdrk4:
     from last, so an attempt costs four right-hand sides.  Both are
     recognised by identity, which is sound because the returned state is
     read-only, callers do not mutate theirs, and a stepper serves one
-    :func:`integrate` or :func:`step` call only.  At M = 0 the scheme is
-    classical RK4.
+    :func:`integrate` call only.  At M = 0 the scheme is classical RK4.
     """
 
     err_exponent = 1.0 / 4.0
@@ -611,19 +608,13 @@ def _record_times(t0: float, t_end: float, every: float) -> tuple[list[float], b
     return rec, short
 
 
-# a size this close (relative) to a rung counts as the rung: a remainder taken
-# as a difference of times carries their rounding
-_RUNG_REL_TOL = 1e-9
-
-
 def _rung(size: float, controls: StepControls, lift: bool = True) -> float:
-    """``size`` rounded down to the ladder ``record_every * 2**-j``, up to ``_RUNG_REL_TOL``.
+    """``size`` rounded down to the ladder ``record_every * 2**-j``.
 
-    With ``lift``, a rung below ``dt_min`` is raised to the lowest rung at
-    or above it.
+    With ``lift``, not below the lowest rung at or above ``dt_min``.
     """
     r = controls.record_every
-    rung = math.ldexp(r, -max(0, math.ceil(math.log2(r / (size * (1.0 + _RUNG_REL_TOL))))))
+    rung = math.ldexp(r, -max(0, math.ceil(math.log2(r / size))))
     if lift and rung < controls.dt_min:
         rung = math.ldexp(r, -max(0, math.floor(math.log2(r / controls.dt_min))))
     return rung
@@ -632,8 +623,8 @@ def _rung(size: float, controls: StepControls, lift: bool = True) -> float:
 def _attempt(stepper, t, y, h, controls: StepControls):
     """Run one attempt of size ``h`` from ``(t, y)`` and decide it.
 
-    Returns ``(y_new, err, h_next)``, with ``y_new`` and ``err`` None when the
-    step is rejected.  Raises :class:`EscapeSignal` on a non-finite step that
+    Returns ``(y_new, h_next)``, with ``y_new`` None when the step is
+    rejected.  Raises :class:`EscapeSignal` on a non-finite step that
     cannot shrink and :class:`StepUnderflowError` below ``dt_min``; an
     accepted step below it proposes the lowest rung at or above it instead.
     """
@@ -643,7 +634,7 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     elif stepper.adaptive:
         err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
     else:
-        return y_new, err, h
+        return y_new, h
     if not math.isfinite(err_norm) and (not stepper.adaptive or h <= 4.0 * controls.dt_min):
         raise EscapeSignal(f"non-finite state after step at t={t + h:.6g}")
     # embedded-pair rule (Hairer-Norsett-Wanner, Solving ODEs I, II.4)
@@ -654,45 +645,10 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     if stepper.ladder:
         h_next = _rung(h_next, controls, lift=accepted)
     if accepted:
-        return y_new, err, h_next
+        return y_new, h_next
     if h_next < controls.dt_min:
         raise StepUnderflowError(f"step size underflow at t={t:.6g}")
-    return None, None, h_next
-
-
-def step(
-    params: ModelParams,
-    state: DyadicState,
-    controls: StepControls,
-    dt: float,
-) -> tuple[DyadicState, float, float]:
-    """Advance one accepted step of the configured scheme.
-
-    Returns the new state, the infinity norm of the local error estimate and
-    the controller's proposed next step size.  Raises
-    :class:`StepUnderflowError` when acceptance would need dt below dt_min
-    and :class:`EscapeSignal` when the step produces non-finite values.
-    Each call builds its own stepper, so no state outlives it: an IMEX step
-    builds the exponential tables it needs afresh.
-
-    The IMEX scheme steps on the ladder, as :func:`integrate` does: ``dt``
-    is rounded down to a rung (:func:`_rung`).  When the accepted step is a
-    rung within rounding of ``dt``, the time still advances by ``dt``, so
-    chained steps to a target time land on it as :func:`integrate` lands on
-    a record.
-    """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise DomainError(f"dt must be finite and positive, got {dt}")
-    y = _check_state(params, state)
-    stepper = _make_stepper(params, controls)
-    y_new, h_next = None, (_rung(dt, controls) if stepper.ladder else dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while y_new is None:
-            h = h_next
-            y_new, err, h_next = _attempt(stepper, state.t, y, h, controls)
-    err_max = 0.0 if err is None else float(np.max(np.abs(err)))
-    t_new = state.t + (dt if math.isclose(h, dt, rel_tol=_RUNG_REL_TOL) else h)
-    return DyadicState(t=t_new, a=y_new), err_max, h_next
+    return None, h_next
 
 
 def integrate(
@@ -800,7 +756,7 @@ def integrate(
                 lands = dt >= remaining or (stepper.ladder and remaining - dt < controls.dt_min)
                 h = remaining if lands else dt
             try:
-                y_new, _, prop = _attempt(stepper, t, y, h, controls)
+                y_new, prop = _attempt(stepper, t, y, h, controls)
             except EscapeSignal:
                 termination, escape_time = Termination.ESCAPE_DETECTED, t
                 break
@@ -848,10 +804,10 @@ def linear_semigroup(params: ModelParams, state0: DyadicState, t: float) -> Dyad
     which is accurate normwise, not entrywise.  The X^s diagnostics weight
     the top indices by up to ``2**(s*K)``, so its roundoff there shows above
     K = 32: at alpha = 0.35, front (4, 1.2, 0.5, 1) and t = 1e-3 the X^s
-    norm reads 9.54 for K <= 32 but 513 at K = 40 and 3.7e13 at K = 64
-    (initially 9.64), where monotonicity also breaks by -2.4e-7.  Further
-    up, from K = 107 at alpha = 0.25, :func:`expm` refuses the matrix with
-    :class:`DomainError`.  ROADMAP item 1 has the entrywise-accurate remedy.
+    norm reads 9.5356 for K <= 32 but 91.9 at K = 40, 3.7e5 at K = 48 and
+    1.76e13 at K = 64 (initially 9.64), where monotonicity also breaks by
+    -7.6e-7.  From K = 107 at alpha = 0.25, :func:`expm` refuses the matrix
+    with :class:`DomainError`.  ROADMAP item 1 has the entrywise remedy.
     """
     if params.alpha <= 0.0:
         raise DomainError("the semigroup requires alpha > 0")
