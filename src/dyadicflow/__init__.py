@@ -33,11 +33,9 @@ from dyadicflow.model import (
 )
 from dyadicflow.integrate import (
     Diagnostics,
-    EscapeSignal,
     IntegrationAbortError,
     Scheme,
     StepControls,
-    StepUnderflowError,
     Termination,
     Trajectory,
     detect_escape,

@@ -158,8 +158,7 @@ def cmd_semigroup(args) -> int:
     p = cfg.params
     state0 = build_initial_state(cfg.scenario, p.trunc_k)
     times, states = linear_semigroup_samples(p, state0, cfg.t_end, cfg.controls.record_every)
-    with np.errstate(over="ignore"):
-        norms = _xs_norms(states, np.diff(states, axis=1), p.norm_s)
+    norms = _xs_norms(states, np.diff(states, axis=1), p.norm_s)
     prefix = _prefix(cfg, args)
     path = output.write_series_csv((times, norms), ["t", "xs_norm"], prefix + "_semigroup.csv")
     ok = bool(np.all(norms[1:] <= norms[:-1] + 1e-9))

@@ -32,12 +32,21 @@ Three schemes are provided:
   (Kahan) state accumulation, used as a cross-validation reference.
 
 The default for dissipative runs is the IMEX scheme.  One step-size
-controller, :func:`_attempt`, decides every attempt of :func:`integrate`;
-for a stepper whose ``ladder`` attribute is set, :func:`_rung` rounds the
+controller, :func:`_attempt`, decides every attempt of :func:`integrate`
+(an attempt that returns no error estimate is accepted as it is); for a
+stepper whose ``ladder`` attribute is set, :func:`_rung` rounds the
 proposals and ``dt_init`` down to a rung.  IMEX and RK4 have no continuous
 extension and land a step on every record time; within a record interval
 the IMEX position is an exact dyadic fraction of it, so its steps add up to
 the interval in whole rungs, as in the binary expansion of what is left.
+
+A run ends with one of the four :class:`Termination` values.
+:func:`_attempt` returns ``STEP_UNDERFLOW``, or ``ESCAPE_DETECTED`` for a
+non-finite step, whose ``escape_time`` is the start of the failed attempt;
+the escape test of the records gives ``ESCAPE_DETECTED`` at the first
+sample past the threshold; the loop itself sets ``REACHED_T_END`` and
+``MAX_STEPS_EXCEEDED``.  The loop runs until one of them is set, and
+:func:`integrate` builds its :class:`Trajectory` at one exit.
 
 A run is stored as arrays: :class:`Trajectory` holds the sample times
 ``(n,)``, the states ``(n, K+1)`` and their :class:`Diagnostics`, one
@@ -95,14 +104,6 @@ class Termination(Enum):
     ESCAPE_DETECTED = "escape_detected"
     STEP_UNDERFLOW = "step_underflow"
     MAX_STEPS_EXCEEDED = "max_steps_exceeded"
-
-
-class StepUnderflowError(RuntimeError):
-    """The controller could not accept a step at or above dt_min."""
-
-
-class EscapeSignal(RuntimeError):
-    """A step produced non-finite values (solution left the representable range)."""
 
 
 class IntegrationAbortError(RuntimeError):
@@ -260,7 +261,6 @@ class _DormandPrince:
     """
 
     err_exponent = 1.0 / 5.0
-    adaptive = True
     ladder = False
     interpolates = True
 
@@ -430,7 +430,6 @@ class _Etdrk4:
     """
 
     err_exponent = 1.0 / 4.0
-    adaptive = True
     ladder = True  # step sizes record_every * 2**-j, so each table is built once
     interpolates = False
     _cache_limit = 256
@@ -483,9 +482,8 @@ class _Etdrk4:
 
 
 class _Rk4Kahan:
-    """Classical RK4 with a compensated state accumulator."""
+    """Classical RK4 with a compensated state accumulator; it has no error estimate."""
 
-    adaptive = False
     ladder = False
     interpolates = False
 
@@ -523,22 +521,19 @@ def _build_rhs(params: ModelParams):
     return rhs, m
 
 
-def _resolve_scheme(params: ModelParams, controls: StepControls) -> Scheme:
-    if controls.scheme is not None:
-        return controls.scheme
-    return Scheme.DUHAMEL_IMEX if params.alpha > 0.0 else Scheme.EXPLICIT_ADAPTIVE
-
-
 def _make_stepper(params, controls):
-    scheme = _resolve_scheme(params, controls)
-    rhs, m = _build_rhs(params)
+    """The stepper of ``controls.scheme``; by default IMEX when alpha > 0, else Dormand-Prince."""
+    scheme = controls.scheme
+    if scheme is None:
+        scheme = Scheme.DUHAMEL_IMEX if params.alpha > 0.0 else Scheme.EXPLICIT_ADAPTIVE
+    if scheme is Scheme.DUHAMEL_IMEX:
+        # a zero linear part at alpha = 0, where the scheme is classical RK4
+        n = params.n_modes
+        m = dissipation_matrix(params) if params.alpha > 0.0 else np.zeros((n, n))
+        return _Etdrk4(m, _rhs_inviscid_array)
+    rhs, _ = _build_rhs(params)
     if scheme is Scheme.EXPLICIT_ADAPTIVE:
         return _DormandPrince(rhs, params.n_modes)
-    if scheme is Scheme.DUHAMEL_IMEX:
-        # only this scheme gets a zero linear part at alpha = 0: there it is RK4
-        if m is None:
-            m = np.zeros((params.n_modes, params.n_modes))
-        return _Etdrk4(m, _rhs_inviscid_array)
     return _Rk4Kahan(rhs)
 
 
@@ -616,27 +611,34 @@ def _rung(size: float, controls: StepControls, lift: bool = True) -> float:
     r = controls.record_every
     rung = math.ldexp(r, -max(0, math.ceil(math.log2(r / size))))
     if lift and rung < controls.dt_min:
-        rung = math.ldexp(r, -max(0, math.floor(math.log2(r / controls.dt_min))))
+        # log2 may round r / dt_min up to a power of two it lies just under
+        j = math.floor(math.log2(r / controls.dt_min))
+        if math.ldexp(r, -j) < controls.dt_min:
+            j -= 1
+        rung = math.ldexp(r, -max(0, j))
     return rung
 
 
 def _attempt(stepper, t, y, h, controls: StepControls):
     """Run one attempt of size ``h`` from ``(t, y)`` and decide it.
 
-    Returns ``(y_new, h_next)``, with ``y_new`` None when the step is
-    rejected.  Raises :class:`EscapeSignal` on a non-finite step that
-    cannot shrink and :class:`StepUnderflowError` below ``dt_min``; an
-    accepted step below it proposes the lowest rung at or above it instead.
+    Returns ``(y_new, h_next, stop)``, with ``y_new`` None when the step is
+    rejected.  ``stop`` is the :class:`Termination` that ends the run here,
+    else None: ``ESCAPE_DETECTED`` for a non-finite step that cannot shrink
+    (a stepper without an error estimate, or ``h`` within 4 ``dt_min``), and
+    ``STEP_UNDERFLOW`` for a rejected step whose proposal falls below
+    ``dt_min``.  An accepted step below it proposes the lowest rung at or
+    above it instead.
     """
     y_new, err = stepper.attempt(t, y, h)
     if not np.isfinite(y_new).all():
         err_norm = math.inf
-    elif stepper.adaptive:
-        err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
+    elif err is None:
+        return y_new, h, None
     else:
-        return y_new, h
-    if not math.isfinite(err_norm) and (not stepper.adaptive or h <= 4.0 * controls.dt_min):
-        raise EscapeSignal(f"non-finite state after step at t={t + h:.6g}")
+        err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
+    if not math.isfinite(err_norm) and (err is None or h <= 4.0 * controls.dt_min):
+        return None, h, Termination.ESCAPE_DETECTED
     # embedded-pair rule (Hairer-Norsett-Wanner, Solving ODEs I, II.4)
     accepted = err_norm <= 1.0
     cap = 5.0 if accepted else 1.0
@@ -645,10 +647,12 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     if stepper.ladder:
         h_next = _rung(h_next, controls, lift=accepted)
     if accepted:
-        return y_new, h_next
-    if h_next < controls.dt_min:
-        raise StepUnderflowError(f"step size underflow at t={t:.6g}")
-    return None, h_next
+        return y_new, h_next, None
+    return None, h_next, Termination.STEP_UNDERFLOW if h_next < controls.dt_min else None
+
+
+# the terminations of a run that neither escaped nor reached t_end
+_STOPPED_SHORT = (Termination.STEP_UNDERFLOW, Termination.MAX_STEPS_EXCEEDED)
 
 
 def integrate(
@@ -692,14 +696,18 @@ def integrate(
         threshold = 1e6 * n0 if n0 > 0.0 else math.inf
     else:
         threshold = float(escape_threshold)
-        if threshold <= n0:
-            raise DomainError("escape threshold must exceed the initial norm")
+        if not threshold > n0:  # NaN too, which would switch the escape test off
+            raise DomainError(
+                f"escape_threshold must exceed the initial norm {n0!r}, got {threshold!r}"
+            )
 
     if monotone_abort_tol is None:
         monotone_abort_tol = max(
             1e-7,
             1e4 * (controls.abs_tol + controls.rel_tol * (1.0 + float(np.max(np.abs(a0))))),
         )
+    elif math.isnan(monotone_abort_tol):
+        raise DomainError("monotone_abort_tol must be a number or inf, got nan")
     guard = monotone_abort_tol < math.inf and a0[0] >= -1e-12 and (
         a0.size < 2 or float(np.min(np.diff(a0))) >= -1e-12
     )
@@ -711,8 +719,8 @@ def integrate(
     termination: Optional[Termination] = None
     escape_time: Optional[float] = None
 
-    def keep(ts, ys) -> bool:
-        """Keep a block of records; True when one escapes, which ends the block there."""
+    def keep(ts, ys):
+        """Keep a block of records; one that escapes ends the block, and the run, there."""
         nonlocal termination, escape_time
         row = _first_escape(ts, ys, params.norm_s, threshold, abort_tol)
         if row is not None:
@@ -720,15 +728,10 @@ def integrate(
             termination, escape_time = Termination.ESCAPE_DETECTED, ts[-1]
         times.extend(ts)
         blocks.append(ys)
-        return row is not None
 
-    if keep([t0], a0[None]):
-        return Trajectory(params, delta, times, np.vstack(blocks), termination, escape_time)
-    if t_end == t0:
-        return Trajectory(params, delta, times, np.vstack(blocks), Termination.REACHED_T_END)
-
+    keep([t0], a0[None])
     r = controls.record_every
-    rec, short = _record_times(t0, t_end, r)
+    rec, short = _record_times(t0, t_end, r) if t_end > t0 else ([], False)
     # the record intervals a ladder stepper covers in whole rungs: all but a short last one
     n_rungs = len(rec) - short if stepper.ladder else 0
     y = a0.copy()
@@ -739,13 +742,16 @@ def integrate(
 
     # overflow inside an attempt is caught by the isfinite checks of _attempt
     with np.errstate(over="ignore", invalid="ignore"):
-        while i < len(rec):
+        while termination is None:
+            if i == len(rec):
+                termination = Termination.REACHED_T_END
+                continue
             # a stepper with a continuous extension steps freely to t_end
             target = t_end if stepper.interpolates else rec[i]
             attempts += 1
             if attempts > controls.max_steps:
                 termination = Termination.MAX_STEPS_EXCEEDED
-                break
+                continue
             if i < n_rungs:
                 # the largest rung in what is left, as in its binary expansion
                 h = min(dt, math.ldexp(r, math.frexp(left)[1] - 1))
@@ -755,14 +761,9 @@ def integrate(
                 remaining = target - t
                 lands = dt >= remaining or (stepper.ladder and remaining - dt < controls.dt_min)
                 h = remaining if lands else dt
-            try:
-                y_new, prop = _attempt(stepper, t, y, h, controls)
-            except EscapeSignal:
-                termination, escape_time = Termination.ESCAPE_DETECTED, t
-                break
-            except StepUnderflowError:
-                termination = Termination.STEP_UNDERFLOW
-                break
+            y_new, prop, termination = _attempt(stepper, t, y, h, controls)
+            if termination is Termination.ESCAPE_DETECTED:
+                escape_time = t  # the start of the failed attempt, which has no sample
             if y_new is None:
                 dt = prop
                 continue
@@ -784,16 +785,12 @@ def integrate(
             else:
                 ts, ys = [t], y[None]  # a landing step ends on its record
             i = j
-            if keep(ts, ys):
-                break
+            keep(ts, ys)
 
-    if termination is None:
-        termination = Termination.REACHED_T_END
-    elif termination is not Termination.ESCAPE_DETECTED and times[-1] < t:
+    if termination in _STOPPED_SHORT and times[-1] < t:
         # partial run: keep the last reached point for post-mortem inspection;
         # a state past the threshold reports the escape, whatever stopped the run
         keep([t], y[None])
-
     return Trajectory(params, delta, times, np.vstack(blocks), termination, escape_time)
 
 

@@ -341,20 +341,21 @@ def xs_norm(state: DyadicState, s: float) -> float:
     """Norm ``sup_k |a_k| + sup_{k>=1} |a_k - a_{k-1}| * 2**(s*k)``."""
     if not (s > 0.0):
         raise DomainError(f"s must be > 0, got {s}")
-    with np.errstate(over="ignore"):
-        return float(_xs_norms(state.a, np.diff(state.a), s))
+    return float(_xs_norms(state.a, np.diff(state.a), s))
 
 
 def _xs_norms(a: np.ndarray, d: np.ndarray, s: float):
     """X^s norms of one state or of each row of a stacked block, given ``d = diff(a)``.
 
     ``|d| * 2**(s*k)`` is only formed where ``d != 0``, so 0 * inf counts as
-    0 where the weights overflow.
+    0 where the weights overflow.  A norm past the float range is inf, with no
+    overflow warning.
     """
-    wd = np.multiply(
-        np.abs(d), _xs_weights(a.shape[-1], s), out=np.zeros(d.shape), where=d != 0.0
-    )
-    return np.abs(a).max(axis=-1) + wd.max(axis=-1)
+    with np.errstate(over="ignore"):
+        wd = np.multiply(
+            np.abs(d), _xs_weights(a.shape[-1], s), out=np.zeros(d.shape), where=d != 0.0
+        )
+        return np.abs(a).max(axis=-1) + wd.max(axis=-1)
 
 
 def slopes(state: DyadicState) -> np.ndarray:

@@ -23,7 +23,6 @@ from dyadicflow.integrate import (
     IntegrationAbortError,
     Scheme,
     StepControls,
-    StepUnderflowError,
     Termination,
     Trajectory,
     _diagnostics,
@@ -88,18 +87,38 @@ class TestNoSharedState:
 
 
 class TestIntegrate:
-    def test_zero_length_run(self):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_zero_length_run(self, scheme):
         p = ModelParams(alpha=0.25, trunc_k=4)
         s = constant_state(4)
-        traj = integrate(p, s, 0.0, StepControls())
+        traj = integrate(p, s, 0.0, StepControls(scheme=scheme))
         assert traj.termination is Termination.REACHED_T_END
-        assert traj.times.tolist() == [0.0]
+        assert traj.escape_time is None
+        assert traj.times.tolist() == [0.0] and traj.states.shape == (1, 5)
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_non_finite_t_end_rejected(self, t_end):
         s = gen_front(8, 4, 1.2, 0.5)
         with pytest.raises(DomainError, match="t_end must be finite"):
             integrate(ModelParams(alpha=0.25, trunc_k=8), s, t_end, StepControls())
+
+    def test_nan_escape_threshold_rejected(self):
+        # NaN compares False, so it would switch the escape test off: this
+        # run escapes at t = 1.4 with a threshold of 500, but reached t_end
+        p, s = ModelParams(alpha=0.0, trunc_k=12), gen_bump(12)
+        c = StepControls(record_every=0.1)
+        with pytest.raises(DomainError, match="escape_threshold"):
+            integrate(p, s, 3.0, c, escape_threshold=math.nan)
+        traj = integrate(p, s, 3.0, c, escape_threshold=math.inf)
+        assert traj.termination is Termination.REACHED_T_END
+
+    def test_nan_monotone_abort_tol_rejected(self):
+        # NaN would switch the monotone guard off; inf still means "never"
+        p, s = ModelParams(alpha=0.3, trunc_k=8), gen_front(8, 4, 1.2, 0.5)
+        with pytest.raises(DomainError, match="monotone_abort_tol"):
+            integrate(p, s, 0.1, StepControls(), monotone_abort_tol=math.nan)
+        traj = integrate(p, s, 0.1, StepControls(), monotone_abort_tol=math.inf)
+        assert traj.termination is Termination.REACHED_T_END
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_constant_state_unchanged(self, scheme):
@@ -751,6 +770,18 @@ class TestEdgeInputs:
         assert traj.termination is Termination.REACHED_T_END
         assert traj.times[-1] == 0.02 and traj.escape_time is None
 
+    def test_no_overflow_warning_at_large_k(self):
+        # 2 * 2**(1.5 * 682) overflows: the X^s norm is inf, which integrate
+        # and detect_escape read without a numpy warning (an error under the
+        # pytest config)
+        p = ModelParams(alpha=0.0, trunc_k=700)
+        s0 = DyadicState(t=0.0, a=[0.0] * 682 + [2.0] * 19)
+        assert xs_norm(s0, p.norm_s) == math.inf
+        traj = integrate(p, s0, 1e-3, StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE))
+        assert traj.diag.xs_norm[0] == math.inf
+        with pytest.raises(DomainError, match="threshold must exceed"):
+            detect_escape(traj, threshold=1e300, s=p.norm_s)
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_cadence_longer_than_run(self, scheme):
         # record_every 1.0 past t_end 0.3: the run records t0 and t_end only
@@ -1226,7 +1257,7 @@ class TestStepLadder:
         # accepted step then keeps the lowest rung at or above dt_min, and a
         # rejected one underflows instead of attempting below dt_min
         class Stub:
-            adaptive, ladder, err_exponent = True, True, 0.5
+            ladder, err_exponent = True, 0.5
 
             def __init__(self, err_norm):
                 self.err = err_norm * 1e-8
@@ -1237,12 +1268,21 @@ class TestStepLadder:
         c = StepControls(rel_tol=1e-8, abs_tol=1e-30, dt_init=0.1, dt_min=1e-3,
                          record_every=0.1)
         rung = math.ldexp(0.1, -6)  # 1.5625e-3, the lowest rung >= dt_min
-        y_new, h_next = integrate_module._attempt(Stub(0.99), 0.0, np.ones(3), rung, c)
-        assert y_new is not None
+        y_new, h_next, stop = integrate_module._attempt(Stub(0.99), 0.0, np.ones(3), rung, c)
+        assert y_new is not None and stop is None
         assert h_next == rung
         # rejected: 0.9 * 1.1**-0.5 * rung = 1.34e-3 >= dt_min, snapped 7.8e-4
-        with pytest.raises(StepUnderflowError):
-            integrate_module._attempt(Stub(1.1), 0.0, np.ones(3), rung, c)
+        y_new, _, stop = integrate_module._attempt(Stub(1.1), 0.0, np.ones(3), rung, c)
+        assert y_new is None and stop is Termination.STEP_UNDERFLOW
+
+    def test_lift_lands_on_rung_at_or_above_dt_min(self):
+        # dt_min one ulp above a rung: log2(r / dt_min) rounds j - 1.6e-16 up
+        # to j, and the lift must still take the rung above, not the one below
+        for r in (0.01, 0.1, 1.0 / 3.0, 7.0):
+            for j in range(1, 60):
+                dt_min = math.nextafter(math.ldexp(r, -j), math.inf)
+                c = StepControls(record_every=r, dt_min=dt_min, dt_init=max(1e-3, 4.0 * r))
+                assert integrate_module._rung(0.3 * dt_min, c) == math.ldexp(r, -(j - 1)), (r, j)
 
     def test_rung_contract(self):
         # with no tolerance, a rung (also read back from its repr) is its own
