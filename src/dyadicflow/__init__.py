@@ -16,7 +16,6 @@ from dyadicflow.model import (
     InvalidInputError,
     ModelParams,
     Tail,
-    UnsupportedConventionError,
     coercivity_constant,
     cs_constant,
     default_goodbad_threshold,

@@ -346,21 +346,16 @@ def check_max_principle(traj, tolerance: float = 1e-8) -> InvariantReport:
     )
 
 
-def _split_margins(b: np.ndarray, require_increasing_prefix: bool) -> np.ndarray:
+def _split_margins(b: np.ndarray) -> np.ndarray:
     """Margins of the front structure for every split index K' = 1..K.
 
     The structure at split K' demands strictly decreasing slopes beyond K'
-    and the sqrt(2) ratio bound up to K' (optionally also increasing slopes
-    up to K').  Entry i holds the worst slack for split K' = i + 1, along
-    the last axis of ``b`` (one slope vector or a block of them).
+    and the sqrt(2) ratio bound up to K'.  Entry i holds the worst slack for
+    split K' = i + 1, along the last axis of ``b`` (one slope vector or a
+    block of them, with K >= 2).
     """
-    kmax = b.shape[-1] - 1
-    if kmax < 2:
-        return np.full(b.shape[:-1] + (max(kmax, 1),), math.inf)
     dec = b[..., 1:-1] - b[..., 2:]                  # b_{k-1} - b_k at k = 2..K
     up = SQRT2 * b[..., 1:-1] - b[..., 2:]           # sqrt(2) b_{k-1} - b_k
-    if require_increasing_prefix:
-        up = np.minimum(up, b[..., 2:] - b[..., 1:-1])
     inf = np.full(b.shape[:-1] + (1,), math.inf)
     suffix = np.concatenate(
         [np.minimum.accumulate(dec[..., ::-1], axis=-1)[..., ::-1], inf], axis=-1
@@ -382,7 +377,7 @@ def check_sqrt2_structure(traj, tolerance: float = 1e-9) -> InvariantReport:
     loc = (float(traj.times[0]), None)
     prev_split = 0  # no split yet: every split is at least k0 >= 1
     for lo, a in _row_blocks(traj.states):
-        eligible = _split_margins(_slopes_array(a), require_increasing_prefix=False)[:, k0 - 1 :]
+        eligible = _split_margins(_slopes_array(a))[:, k0 - 1 :]
         valid = eligible >= -tolerance
         has_split = valid.any(axis=1)
         split = k0 + eligible.shape[1] - 1 - np.argmax(valid[:, ::-1], axis=1)

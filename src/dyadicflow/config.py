@@ -24,7 +24,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from dyadicflow import analysis
 from dyadicflow.integrate import Scheme, StepControls
-from dyadicflow.model import DomainError, DyadicState, ModelParams, Tail
+from dyadicflow.model import DomainError, DyadicState, ModelParams
 from dyadicflow.output import _atomic_write
 from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric
 

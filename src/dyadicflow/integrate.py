@@ -507,10 +507,10 @@ class _Rk4Kahan:
 
 
 def _build_rhs(params: ModelParams):
-    """Return (rhs(y, out), M): rhs writes y' into out and returns it; M is None at alpha 0."""
+    """The right-hand side ``rhs(y, out)``, which writes y' into out and returns it."""
     nl = _rhs_inviscid_array
     if params.alpha <= 0.0:
-        return nl, None
+        return nl
     m = dissipation_matrix(params)
     mv = np.empty(params.n_modes)  # M y, per run
 
@@ -518,7 +518,7 @@ def _build_rhs(params: ModelParams):
         nl(y, out)
         return np.subtract(out, m.dot(y, out=mv), out=out)
 
-    return rhs, m
+    return rhs
 
 
 def _make_stepper(params, controls):
@@ -531,7 +531,7 @@ def _make_stepper(params, controls):
         n = params.n_modes
         m = dissipation_matrix(params) if params.alpha > 0.0 else np.zeros((n, n))
         return _Etdrk4(m, _rhs_inviscid_array)
-    rhs, _ = _build_rhs(params)
+    rhs = _build_rhs(params)
     if scheme is Scheme.EXPLICIT_ADAPTIVE:
         return _DormandPrince(rhs, params.n_modes)
     return _Rk4Kahan(rhs)
@@ -667,9 +667,9 @@ def integrate(
     """Integrate to ``t_end``, sampling on the ``record_every`` cadence.
 
     Escape is declared when the X^s diagnostic norm of a recorded sample
-    exceeds ``escape_threshold`` (default: 1e6 times the initial norm; the
-    truncated system cannot truly blow up, so this is a proxy refined by
-    truncation-scaling studies).  When the initial data is admissible,
+    exceeds ``escape_threshold`` (default: 1e6 times the initial norm; inf
+    means never, whatever the initial norm; the truncated system cannot
+    truly blow up, so this is a proxy refined by truncation-scaling studies).  When the initial data is admissible,
     monotonicity is watched at every sample and a violation beyond
     ``monotone_abort_tol`` aborts the run: the model preserves admissibility,
     so a violation means integrator error, not dynamics.  The default abort
@@ -696,9 +696,10 @@ def integrate(
         threshold = 1e6 * n0 if n0 > 0.0 else math.inf
     else:
         threshold = float(escape_threshold)
-        if not threshold > n0:  # NaN too, which would switch the escape test off
+        if not (threshold > n0 or threshold == math.inf):  # NaN would switch it off
             raise DomainError(
-                f"escape_threshold must exceed the initial norm {n0!r}, got {threshold!r}"
+                f"escape_threshold must exceed the initial norm {n0!r} or be inf, "
+                f"got {threshold!r}"
             )
 
     if monotone_abort_tol is None:
@@ -857,11 +858,12 @@ def detect_escape(traj: Trajectory, threshold: float, s: float) -> Optional[floa
     """Earliest sample time whose X^s norm exceeds the threshold, if any.
 
     The norms are computed one block of samples at a time, by the escape
-    test of :func:`integrate` (:func:`_first_escape`).
+    test of :func:`integrate` (:func:`_first_escape`).  A threshold of inf
+    never fires, whatever the initial norm.
     """
     a0 = traj.states[0]
-    if not (threshold > _xs_norms(a0, np.diff(a0), s)):
-        raise DomainError("threshold must exceed the initial norm")
+    if not (threshold > _xs_norms(a0, np.diff(a0), s) or threshold == math.inf):
+        raise DomainError("threshold must exceed the initial norm or be inf")
     for lo, a in analysis._row_blocks(traj.states):
         row = _first_escape(traj.times[lo:], a, s, threshold, None)
         if row is not None:

@@ -10,11 +10,11 @@ and the dissipative evolution subtracts a nonlocal discrete operator
     (L a)_k = sum_{n<k} (a_k - a_n) 2**(2*alpha*n)
             + sum_{n>k} (a_k - a_n) 2**(2*alpha*k) 2**(k-n).
 
-Sequences are truncated at ``K``; the infinite upper tail is handled by a
-convention: ``plateau`` extends with ``a_n = a_K`` (the tail sum then has a
-closed form and the telescoped-sum identity stays exact), ``zero`` drops it.
+Sequences are truncated at ``K`` and extended by the plateau ``a_n = a_K``
+for ``n > K``: the tail sum then has a closed form and the telescoped-sum
+identity stays exact.
 
-In the increments ``d_j = a_j - a_{j-1}`` the plateau operator has the
+In the increments ``d_j = a_j - a_{j-1}`` the operator has the
 closed form ``(L a)_k = sum_{j<=k} P_j d_j - w_k S_k`` with
 ``w_k = 2**(2*alpha*k)``, ``P_k = sum_{n<k} w_n`` and
 ``S_k = sum_{j>k} 2**(k-j+1) d_j``.  The O(K) evaluation and the dense
@@ -43,15 +43,10 @@ class DomainError(ValueError):
     """A parameter lies outside the domain an operation is defined on."""
 
 
-class UnsupportedConventionError(ValueError):
-    """The requested operation is not defined under the active tail convention."""
-
-
 class Tail(Enum):
-    """Extension convention for indices beyond the truncation K."""
+    """Extension convention for indices beyond the truncation K: the plateau only."""
 
-    PLATEAU = "plateau"  # a_n := a_K for n > K (default)
-    ZERO = "zero"        # tail sums dropped entirely
+    PLATEAU = "plateau"  # a_n := a_K for n > K
 
 
 @dataclass(frozen=True)
@@ -61,6 +56,7 @@ class ModelParams:
     ``alpha = 0`` means the dissipation term is absent; the supercritical
     range of interest is ``0 < alpha < 1/2``.  ``trunc_k`` is the truncation
     index K; ``norm_s`` the default smoothness index used for diagnostics.
+    ``tail`` has the one value ``Tail.PLATEAU``, which every operator form uses.
     """
 
     alpha: float
@@ -195,10 +191,10 @@ def dissipation(params: ModelParams, state: DyadicState) -> np.ndarray:
     cumulative sum of ``P_j d_j``, and ``S`` from the bidiagonal system
     ``S_k - S_{k+1}/2 = d_{k+1}``, ``S_K = 0``.  On monotone data all terms
     are non-negative, so only the last subtraction can cancel; constant
-    states give exact zeros.  The zero tail adds ``w_k 2**(k-K) (a_K - a_k)``.
+    states give exact zeros.
     """
     a = _check_state(params, state)
-    return _dissipation_array(a, params.alpha, params.tail)
+    return _dissipation_array(a, params.alpha)
 
 
 def _operator_weights(size: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -234,15 +230,12 @@ def _tail_sums(d: np.ndarray) -> np.ndarray:
     return s
 
 
-def _dissipation_array(a: np.ndarray, alpha: float, tail: Tail) -> np.ndarray:
-    kmax = a.size - 1
+def _dissipation_array(a: np.ndarray, alpha: float) -> np.ndarray:
     w, p = _operator_weights(a.size, alpha)
     d = np.diff(a)
     out = np.zeros(a.size)
     np.cumsum(p[1:] * d, out=out[1:])
     out[:-1] -= w[:-1] * _tail_sums(d)
-    if tail is Tail.ZERO:
-        out += np.ldexp(w, np.arange(-kmax, 1)) * (a[-1] - a)
     return out
 
 
@@ -261,10 +254,8 @@ def dissipation_direct(params: ModelParams, state: DyadicState) -> np.ndarray:
     for k in range(kmax + 1):
         lower = (a[k] - a[:k]) * w_low[:k]
         upper = (a[k] - a[k + 1 :]) * np.exp2(ta * k + k - narr[k + 1 :])
-        total = np.sum(lower) + np.sum(upper)
-        if params.tail is Tail.PLATEAU:
-            total += (a[k] - a[kmax]) * np.exp2(ta * k + k - kmax)
-        out[k] = total
+        plateau = (a[k] - a[kmax]) * np.exp2(ta * k + k - kmax)
+        out[k] = np.sum(lower) + np.sum(upper) + plateau
     return out
 
 
@@ -320,7 +311,7 @@ def rhs_full(params: ModelParams, state: DyadicState) -> np.ndarray:
     if params.alpha <= 0.0:
         raise DomainError("rhs_full requires alpha > 0; use rhs_inviscid at alpha = 0")
     a = _check_state(params, state)
-    return _rhs_inviscid_array(a) - _dissipation_array(a, params.alpha, params.tail)
+    return _rhs_inviscid_array(a) - _dissipation_array(a, params.alpha)
 
 
 @functools.lru_cache(maxsize=64)
@@ -394,11 +385,9 @@ def weighted_slopes(state: DyadicState, s: float) -> np.ndarray:
 def dissipation_limit(params: ModelParams, state: DyadicState) -> float:
     """Limit value ``(L a)_inf = sum_{n=0}^{K} (a_K - a_n) * 2**(2*alpha*n)``.
 
-    Defined under the plateau tail, where ``a_inf = a_K`` and the operator is
-    constant equal to this value for every index beyond the truncation.
+    Under the plateau tail ``a_inf = a_K``, and the operator is constant
+    equal to this value for every index beyond the truncation.
     """
-    if params.tail is not Tail.PLATEAU:
-        raise UnsupportedConventionError("dissipation_limit requires the plateau tail")
     a = _check_state(params, state)
     narr = np.arange(a.size, dtype=float)
     terms = (a[-1] - a) * np.exp2(2.0 * params.alpha * narr)
@@ -413,10 +402,6 @@ def telescoped_sum(params: ModelParams, state: DyadicState) -> float:
     remainder ``S * 2**-K``.  The result is 0 up to roundoff,
     ``|result| <= 1e-10 * (1 + ||a||_{X^1})``, for every state.
     """
-    if params.tail is not Tail.PLATEAU:
-        raise UnsupportedConventionError(
-            "the telescoped identity is only guaranteed under the plateau tail"
-        )
     # The defining double sum is used here (not the fast kernel) so the
     # identity check stays independent of the production evaluation path.
     op = dissipation_direct(params, state)
@@ -440,12 +425,9 @@ def dissipation_matrix(params: ModelParams) -> np.ndarray:
     # exponent is capped at 0 so nothing overflows; then -w_n left of it
     m = np.ldexp(-w[:, None], np.minimum(karr[:, None] - karr, 0))
     np.copyto(m, -w, where=np.tri(kmax + 1, k=-1, dtype=bool))
-    tail = np.ldexp(w, karr - kmax)
-    if params.tail is Tail.PLATEAU:
-        m[:-1, -1] -= tail[:-1]
-        diag = p + w
-        diag[-1] = p[-1]
-    else:
-        diag = p + (w - tail)
+    # the plateau tail: -w_k 2**(k-K) on a_K, and its sum on the diagonal
+    m[:-1, -1] -= np.ldexp(w[:-1], karr[:-1] - kmax)
+    diag = p + w
+    diag[-1] = p[-1]
     np.fill_diagonal(m, diag)
     return m

@@ -300,6 +300,14 @@ class TestTrajectoryChecks:
         assert rep.name == "riccati_identity"
         assert rep.passed
 
+    def test_riccati_identity_needs_three_samples(self):
+        # the centred difference needs a sample on each side of an interior one
+        p = ModelParams(alpha=0.0, trunc_k=4)
+        traj = integrate(p, state([0, 0.5, 0.8, 0.9, 0.95]), 0.1, StepControls(record_every=0.1))
+        assert len(traj.times) == 2
+        with pytest.raises(DomainError, match="need at least 3 samples"):
+            riccati_inequality_check(traj)
+
     def test_riccati_identity_equilibrium(self):
         p = ModelParams(alpha=0.0, trunc_k=4)
         traj = integrate(p, state([0, 0, 0, 0, 0]), 0.5, StepControls(record_every=0.1))

@@ -77,6 +77,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "trunc_k" in err
 
+    def test_zero_tail_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "zero.cfg"
+        path.write_text("[model]\ntail = zero\n")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "tail = 'zero' must be one of ['plateau']" in capsys.readouterr().err
+
+    def test_unexpected_error_exit_one(self, tmp_path, capsys):
+        # gen_front refuses k0 = K with a DomainError, which reaches the
+        # generic handler: any error exits 1, named by its type
+        path, _ = write_cfg(tmp_path, scenario=FrontScenario(k0=8, q=1.2, r=0.5))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "DomainError: " in capsys.readouterr().err
+
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -42,7 +42,7 @@ from dyadicflow.output import (
     write_series_csv,
     write_trajectory_csv,
 )
-from dyadicflow.scenarios import gen_front, profile_reconstruction
+from dyadicflow.scenarios import gen_bump, gen_front, gen_geometric, profile_reconstruction
 
 
 def csv_oracle(header, rows) -> bytes:
@@ -122,6 +122,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: {name} must be finite")):
             load_config(path)
 
+    def test_zero_tail_refused_by_name(self, tmp_path):
+        path = tmp_path / "zero.cfg"
+        path.write_text("[model]\ntail = zero\n")
+        with pytest.raises(ConfigError, match=r"\[model\] tail = 'zero' must be one of \['plateau'\]"):
+            load_config(path)
+
     def test_minimal_config_gets_defaults(self, tmp_path):
         path = tmp_path / "min.cfg"
         path.write_text("[model]\nalpha = 0.3\n")
@@ -185,7 +191,7 @@ class TestConfig:
     )
     def test_round_trip_all_scenarios(self, tmp_path, scenario):
         cfg = RunConfig(
-            params=ModelParams(alpha=0.123456789, trunc_k=9, norm_s=1.75, tail=Tail.ZERO),
+            params=ModelParams(alpha=0.123456789, trunc_k=9, norm_s=1.75),
             controls=StepControls(
                 rel_tol=2.5e-9, abs_tol=1e-12, dt_init=7e-4, dt_min=1e-14,
                 max_steps=123456, scheme=Scheme.DUHAMEL_IMEX, record_every=0.125,
@@ -264,6 +270,10 @@ class TestConfig:
     def test_build_initial_state_dispatch(self):
         s = build_initial_state(FrontScenario(k0=3, q=1.3, r=0.5), 6)
         np.testing.assert_allclose(s.a, gen_front(6, 3, 1.3, 0.5).a)
+        bump = build_initial_state(BumpScenario(), 20)
+        np.testing.assert_array_equal(bump.a, gen_bump(20).a)
+        geometric = build_initial_state(GeometricScenario(rate=0.75), 6)
+        np.testing.assert_array_equal(geometric.a, gen_geometric(6, 0.75).a)
         custom = build_initial_state(CustomScenario(values=(0.0, 0.5, 1.0)), 2)
         np.testing.assert_array_equal(custom.a, [0.0, 0.5, 1.0])
         with pytest.raises(ConfigError):

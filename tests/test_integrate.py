@@ -56,6 +56,11 @@ class TestStepControls:
         with pytest.raises(DomainError):
             StepControls(record_every=0.0)
 
+    def test_scheme_name_refused(self):
+        # the config file spells the default "auto"; the dataclass takes None
+        with pytest.raises(DomainError, match="scheme must be a Scheme value, got 'auto'"):
+            StepControls(scheme="auto")
+
 
 def _run_bytes(traj):
     """Everything a trajectory holds, as bytes and reprs, for bitwise comparison."""
@@ -502,7 +507,7 @@ class TestDormandPrince:
 
     def test_reuses_first_and_last_stage(self):
         p = ModelParams(alpha=0.35, trunc_k=8)
-        rhs, _ = integrate_module._build_rhs(p)
+        rhs = integrate_module._build_rhs(p)
         calls = []
 
         def counted(y, out):
@@ -529,7 +534,7 @@ class TestDormandPrince:
 
     def test_result_is_read_only(self):
         p = ModelParams(alpha=0.0, trunc_k=6)
-        rhs, _ = integrate_module._build_rhs(p)
+        rhs = integrate_module._build_rhs(p)
         y_new, _ = integrate_module._DormandPrince(rhs, p.n_modes).attempt(
             0.0, gen_bump(6).a.copy(), 1e-3
         )
@@ -541,7 +546,7 @@ class TestDormandPrince:
         # the stages are written into the stepper's own buffers: no attempt
         # writes into the caller's state or a state an earlier attempt returned
         p, s0, _, c, _ = DP_CASES["scan_front_k20"]
-        rhs, _ = integrate_module._build_rhs(p)
+        rhs = integrate_module._build_rhs(p)
         stepper = integrate_module._DormandPrince(rhs, p.n_modes)
         buffers = (stepper._ks, stepper._g, stepper._err)
         y = s0.a.copy()
@@ -587,7 +592,7 @@ def _dop853_reference(case):
     (and a Radau solve) at t = 0.724 on the scan front.
     """
     p, s0, t_end, _ = DENSE_CASES[case]
-    rhs, _ = integrate_module._build_rhs(p)
+    rhs = integrate_module._build_rhs(p)
     sol = solve_ivp(lambda t, y: rhs(y, np.empty_like(y)), (0.0, t_end), s0.a,
                     method="DOP853", rtol=1e-13, atol=1e-16, max_step=1e-3, dense_output=True)
     assert sol.success
@@ -611,7 +616,7 @@ class TestDenseOutput:
 
     def test_ends_of_the_step(self):
         p = ModelParams(alpha=0.35, trunc_k=12)
-        rhs, _ = integrate_module._build_rhs(p)
+        rhs = integrate_module._build_rhs(p)
         stepper = integrate_module._DormandPrince(rhs, p.n_modes)
         y = gen_front(12, 7, 1.3, 0.5, 10.0).a.copy()
         y_new, _ = stepper.attempt(0.0, y, 4e-3)
@@ -781,6 +786,25 @@ class TestEdgeInputs:
         assert traj.diag.xs_norm[0] == math.inf
         with pytest.raises(DomainError, match="threshold must exceed"):
             detect_escape(traj, threshold=1e300, s=p.norm_s)
+
+    def test_infinite_threshold_accepted_over_infinite_norm(self):
+        # threshold inf means never, also where the initial X^s norm is inf;
+        # a finite threshold (or NaN) stays refused there
+        p = ModelParams(alpha=0.0, trunc_k=700)
+        s0 = DyadicState(t=0.0, a=[0.0] * 682 + [2.0] * 19)
+        assert xs_norm(s0, p.norm_s) == math.inf
+        c = StepControls(scheme=Scheme.EXPLICIT_ADAPTIVE)
+        traj = integrate(p, s0, 1e-3, c, escape_threshold=math.inf)
+        assert detect_escape(traj, threshold=math.inf, s=p.norm_s) is None
+        for bad in (1e300, math.nan):
+            with pytest.raises(DomainError, match="escape_threshold must exceed"):
+                integrate(p, s0, 1e-3, c, escape_threshold=bad)
+
+    def test_t_end_before_initial_time_refused(self):
+        p = ModelParams(alpha=0.3, trunc_k=4)
+        s0 = DyadicState(t=1.0, a=[0.0, 0.5, 0.8, 0.9, 0.95])
+        with pytest.raises(DomainError, match="t_end must not precede the initial time"):
+            integrate(p, s0, 0.5, StepControls())
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_cadence_longer_than_run(self, scheme):

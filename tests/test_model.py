@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -13,8 +12,6 @@ from dyadicflow.model import (
     DyadicState,
     InvalidInputError,
     ModelParams,
-    Tail,
-    UnsupportedConventionError,
     coercivity_constant,
     cs_constant,
     default_goodbad_threshold,
@@ -38,7 +35,7 @@ def state(a, t=0.0):
     return DyadicState(t=t, a=np.asarray(a, dtype=float))
 
 
-def _back_substitution_dissipation(a, alpha, tail):
+def _back_substitution_dissipation(a, alpha):
     """The O(K) closed form in scalar Python arithmetic, loop by loop."""
     w, p = _operator_weights(a.size, alpha)
     kmax = a.size - 1
@@ -55,9 +52,6 @@ def _back_substitution_dissipation(a, alpha, tail):
         out.append(acc)
     for k in range(kmax):
         out[k] -= float(w[k]) * s[k]
-    if tail is Tail.ZERO:
-        for k in range(kmax + 1):
-            out[k] += math.ldexp(float(w[k]), k - kmax) * float(a[-1] - a[k])
     return np.array(out)
 
 
@@ -130,14 +124,13 @@ class TestDissipation:
     def test_fast_equals_direct_random(self, rng):
         for kmax in (2, 3, 17, 128, 1024):
             for alpha in (0.05, 0.15, 0.25, 0.35, 0.45):
-                for tail in (Tail.PLATEAU, Tail.ZERO):
-                    a = random_monotone_array(rng, kmax)
-                    p = ModelParams(alpha=alpha, trunc_k=kmax, tail=tail)
-                    s = state(a)
-                    f = dissipation(p, s)
-                    d = dissipation_direct(p, s)
-                    scale = np.max(np.abs(d))
-                    assert np.max(np.abs(f - d)) <= 1e-12 * scale
+                a = random_monotone_array(rng, kmax)
+                p = ModelParams(alpha=alpha, trunc_k=kmax)
+                s = state(a)
+                f = dissipation(p, s)
+                d = dissipation_direct(p, s)
+                scale = np.max(np.abs(d))
+                assert np.max(np.abs(f - d)) <= 1e-12 * scale
 
     def test_fast_equals_direct_deepest_truncation(self, rng):
         # at K = 2048 the operator values overflow float64 once
@@ -157,15 +150,15 @@ class TestDissipation:
         # back substitution computes it; alpha 0.24 keeps K = 2048 finite
         data = [gen_front(kmax, 4, 1.2, 0.5, 10.0).a, gen_bump(kmax).a,
                 random_monotone_array(rng, kmax)]
-        for a, tail in itertools.product(data, Tail):
-            p = ModelParams(alpha=0.24, trunc_k=kmax, tail=tail)
+        for a in data:
+            p = ModelParams(alpha=0.24, trunc_k=kmax)
             got = dissipation(p, state(a))
-            ref = _back_substitution_dissipation(a, p.alpha, tail)
+            ref = _back_substitution_dissipation(a, p.alpha)
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_matrix_matches_operator(self, rng):
-        for kmax, tail in itertools.product((12, 1024), (Tail.PLATEAU, Tail.ZERO)):
-            p = ModelParams(alpha=0.35, trunc_k=kmax, tail=tail)
+        for kmax in (12, 1024):
+            p = ModelParams(alpha=0.35, trunc_k=kmax)
             m = dissipation_matrix(p)
             a = random_monotone_array(rng, kmax)
             d = dissipation_direct(p, state(a))
@@ -180,12 +173,6 @@ class TestDissipation:
                 # checks are taken relative to the largest value
                 assert np.max(np.abs(m @ a - d)) <= 1e-12 * np.max(np.abs(d))
                 assert np.max(np.abs(m @ ones)) <= 1e-14 * np.max(np.abs(m))
-
-    def test_zero_tail_drops_tail_sum(self):
-        p0 = ModelParams(alpha=0.25, trunc_k=2, tail=Tail.ZERO)
-        s = state([0.0, 1.0, 1.0])
-        # k=0: only the in-range part of the upper sum: -(1/2) - (1/4)
-        np.testing.assert_allclose(dissipation(p0, s), [-0.75, 1.0, 1.0], atol=1e-14)
 
 
 class TestRhs:
@@ -398,11 +385,6 @@ class TestTelescopedIdentity:
                 bound = 1e-10 * (1.0 + xs_norm(s, 1.0))
                 assert abs(telescoped_sum(p, s)) <= bound
 
-    def test_zero_tail_refused(self):
-        p = ModelParams(alpha=0.25, trunc_k=2, tail=Tail.ZERO)
-        with pytest.raises(UnsupportedConventionError):
-            telescoped_sum(p, state([0, 1, 1]))
-
 
 class TestDissipationLimit:
     def test_constant(self):
@@ -417,11 +399,6 @@ class TestDissipationLimit:
         p = ModelParams(alpha=0.35, trunc_k=15)
         for _ in range(20):
             assert dissipation_limit(p, random_monotone_state(rng, 15)) >= 0.0
-
-    def test_zero_tail_refused(self):
-        p = ModelParams(alpha=0.25, trunc_k=2, tail=Tail.ZERO)
-        with pytest.raises(UnsupportedConventionError):
-            dissipation_limit(p, state([0, 1, 1]))
 
 
 class TestCoercivityInequality:

@@ -62,7 +62,8 @@ class TestFront:
         from dyadicflow.model import slopes
 
         b = slopes(gen_front(12, 5, 1.3, 0.5))
-        margins = _split_margins(b, require_increasing_prefix=True)
+        assert np.all(np.diff(b[1:6]) > 0.0)  # b_1 < ... < b_k0
+        margins = _split_margins(b)
         assert margins[4] > 0.0  # split exactly at k0 = 5
 
     @pytest.mark.parametrize(
