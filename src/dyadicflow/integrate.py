@@ -59,9 +59,10 @@ diagnostics from them by :func:`_diagnostics`, one block of
 computation bitwise.
 
 Vector products go through ``ndarray.dot``: it skips the gufunc dispatch of
-``np.matmul`` and makes the same BLAS call, so the bits are the same, and a
-Dormand-Prince attempt on the scan's K = 20 front costs 31 against 40 us
-and the seed-0 scan 0.88 against 1.07 s (one BLAS thread).
+``np.matmul`` and makes the same BLAS call, so the bits are the same.  A
+Dormand-Prince attempt on the scan's K = 20 front with its step decision
+costs 31 us (one BLAS thread), 37 us before the stage plan of
+:class:`_DormandPrince` and the run buffers of :class:`_ErrorNorm`.
 
 The matrix exponential :func:`expm` is Pade scaling and squaring on numpy
 alone.  ``_phi_blocks`` and ``_semigroup_matrix`` look ``expm`` up as a
@@ -266,29 +267,33 @@ class _DormandPrince:
 
     def __init__(self, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int):
         self.rhs = rhs
-        self._ks = np.empty((7, n))  # one row per stage
+        self._ks = ks = np.empty((7, n))  # one row per stage
         self._g = np.empty(n)  # the input of each stage but the first and last
         self._err = np.empty(n)
+        # the stage plan, built once so that an attempt creates no views: for
+        # stages 1 to 5 the tableau row, the stages it sums and the row it fills
+        self._plan = [(_DP_A[i], ks[:i], ks[i]) for i in range(1, 6)]
+        self._k0, self._ks6, self._k6 = ks[0], ks[:6], ks[6]
         self._y = self._y_new = None  # start and result of the last attempt
         self._dt = None
 
     def attempt(self, t, y, dt):
-        ks, g, rhs = self._ks, self._g, self.rhs
+        g, rhs = self._g, self.rhs
         h = np.array(dt)  # scales in place faster than the float dt, with the same bits
         if y is self._y_new:
-            ks[0] = ks[6]
+            self._k0[...] = self._k6
         elif y is not self._y:
-            rhs(y, ks[0])
-        for i in range(1, 6):
-            _DP_A[i].dot(ks[:i], out=g)
+            rhs(y, self._k0)
+        for a, prior, k in self._plan:
+            a.dot(prior, out=g)
             g *= h
             g += y
-            rhs(g, ks[i])
-        y_new = _DP_A[6].dot(ks[:6])
+            rhs(g, k)
+        y_new = _DP_A[6].dot(self._ks6)
         y_new *= h
         y_new += y
-        rhs(y_new, ks[6])
-        err = _DP_E.dot(ks, out=self._err)
+        rhs(y_new, self._k6)
+        err = _DP_E.dot(self._ks, out=self._err)
         err *= h
         y_new.flags.writeable = False
         self._y, self._y_new, self._dt = y, y_new, dt
@@ -537,12 +542,32 @@ def _make_stepper(params, controls):
     return _Rk4Kahan(rhs)
 
 
-def _scaled_error(err, y_old, y_new, rtol, atol):
-    scale = np.maximum(np.abs(y_old), np.abs(y_new))
-    scale *= rtol
-    scale += atol
-    v = float((np.abs(err) / scale).max())
-    return math.inf if math.isnan(v) else v
+class _ErrorNorm:
+    """``max |err| / (rtol max(|y|, |y_new|) + atol)`` of a run's attempts, nan read as inf.
+
+    It is computed in buffers of the run.  |y_new| is kept with the state it
+    was taken of, so an attempt from the state returned last, or a retry
+    from the state started from last, reuses |y|; both are recognised by
+    identity, as in the steppers.
+    """
+
+    def __init__(self, n: int, controls: StepControls):
+        self._rtol, self._atol = np.array(controls.rel_tol), np.array(controls.abs_tol)
+        self._abs_y, self._abs_new, self._scale, self._q = np.empty((4, n))
+        self._y = self._y_new = None
+
+    def __call__(self, err, y, y_new) -> float:
+        if y is self._y_new:
+            self._abs_y, self._abs_new = self._abs_new, self._abs_y
+        elif y is not self._y:
+            np.abs(y, out=self._abs_y)
+        self._y, self._y_new = y, y_new
+        scale = np.maximum(self._abs_y, np.abs(y_new, out=self._abs_new), out=self._scale)
+        scale *= self._rtol
+        scale += self._atol
+        q = np.divide(np.abs(err, out=self._q), scale, out=self._q)
+        v = float(np.maximum.reduce(q))
+        return math.inf if math.isnan(v) else v
 
 
 def _diagnostics(a: np.ndarray, norm_s: float, delta: float) -> tuple[np.ndarray, ...]:
@@ -619,8 +644,8 @@ def _rung(size: float, controls: StepControls, lift: bool = True) -> float:
     return rung
 
 
-def _attempt(stepper, t, y, h, controls: StepControls):
-    """Run one attempt of size ``h`` from ``(t, y)`` and decide it.
+def _attempt(stepper, norm: _ErrorNorm, t, y, h, controls: StepControls):
+    """Run one attempt of size ``h`` from ``(t, y)`` and decide it by ``norm``.
 
     Returns ``(y_new, h_next, stop)``, with ``y_new`` None when the step is
     rejected.  ``stop`` is the :class:`Termination` that ends the run here,
@@ -629,15 +654,21 @@ def _attempt(stepper, t, y, h, controls: StepControls):
     ``STEP_UNDERFLOW`` for a rejected step whose proposal falls below
     ``dt_min``.  An accepted step below it proposes the lowest rung at or
     above it instead.
+
+    Only a step without an error estimate (RK4) is scanned for non-finite
+    entries.  Dormand-Prince and ETDRK4 take the transport term at ``y_new``
+    into their estimate through finite weights, and that term,
+    ``-(y_k - y_{k-1})**2 2**k``, is non-finite at k >= 1 where y_k or
+    y_{k-1} is; so a non-finite ``y_new`` makes the estimate non-finite, and
+    the norm is inf without a scan.
     """
     y_new, err = stepper.attempt(t, y, h)
-    if not np.isfinite(y_new).all():
-        err_norm = math.inf
-    elif err is None:
-        return y_new, h, None
-    else:
-        err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
-    if not math.isfinite(err_norm) and (err is None or h <= 4.0 * controls.dt_min):
+    if err is None:
+        if np.isfinite(y_new).all():
+            return y_new, h, None
+        return None, h, Termination.ESCAPE_DETECTED
+    err_norm = norm(err, y, y_new)
+    if not math.isfinite(err_norm) and h <= 4.0 * controls.dt_min:
         return None, h, Termination.ESCAPE_DETECTED
     # embedded-pair rule (Hairer-Norsett-Wanner, Solving ODEs I, II.4)
     accepted = err_norm <= 1.0
@@ -714,6 +745,7 @@ def integrate(
     )
 
     stepper = _make_stepper(params, controls)
+    norm = _ErrorNorm(params.n_modes, controls)
     abort_tol = monotone_abort_tol if guard else None
     times: list[float] = []
     blocks: list[np.ndarray] = []  # (rows, K+1) states; none is written later
@@ -741,7 +773,7 @@ def integrate(
     left = 1.0  # record interval i not yet stepped, in units of r: a dyadic fraction, exact
     attempts = i = 0  # i: the next record
 
-    # overflow inside an attempt is caught by the isfinite checks of _attempt
+    # overflow inside an attempt makes its error norm inf, or fails RK4's finiteness scan
     with np.errstate(over="ignore", invalid="ignore"):
         while termination is None:
             if i == len(rec):
@@ -762,7 +794,7 @@ def integrate(
                 remaining = target - t
                 lands = dt >= remaining or (stepper.ladder and remaining - dt < controls.dt_min)
                 h = remaining if lands else dt
-            y_new, prop, termination = _attempt(stepper, t, y, h, controls)
+            y_new, prop, termination = _attempt(stepper, norm, t, y, h, controls)
             if termination is Termination.ESCAPE_DETECTED:
                 escape_time = t  # the start of the failed attempt, which has no sample
             if y_new is None:

@@ -338,15 +338,19 @@ def xs_norm(state: DyadicState, s: float) -> float:
 def _xs_norms(a: np.ndarray, d: np.ndarray, s: float):
     """X^s norms of one state or of each row of a stacked block, given ``d = diff(a)``.
 
-    ``|d| * 2**(s*k)`` is only formed where ``d != 0``, so 0 * inf counts as
-    0 where the weights overflow.  A norm past the float range is inf, with no
-    overflow warning.
+    Where a weight ``2**(s*k)`` overflows, ``|d| * 2**(s*k)`` is only formed
+    where ``d != 0``, so 0 * inf counts as 0; where all are finite, ``|±0|``
+    times a weight is +0.0 as it is.  A norm past the float range is inf,
+    with no overflow warning.
     """
+    w = _xs_weights(a.shape[-1], s)
     with np.errstate(over="ignore"):
-        wd = np.multiply(
-            np.abs(d), _xs_weights(a.shape[-1], s), out=np.zeros(d.shape), where=d != 0.0
-        )
-        return np.abs(a).max(axis=-1) + wd.max(axis=-1)
+        if w[-1] < math.inf:
+            wd = np.abs(d)
+            wd *= w
+        else:
+            wd = np.multiply(np.abs(d), w, out=np.zeros(d.shape), where=d != 0.0)
+        return np.maximum.reduce(np.abs(a), axis=-1) + np.maximum.reduce(wd, axis=-1)
 
 
 def slopes(state: DyadicState) -> np.ndarray:

@@ -31,7 +31,7 @@ from dyadicflow.integrate import (
     detect_escape,
     integrate,
 )
-from dyadicflow.model import DomainError, DyadicState, ModelParams, _xs_norms
+from dyadicflow.model import DomainError, DyadicState, ModelParams, _xs_norms, _xs_weights
 from dyadicflow.scenarios import gen_bump, gen_front
 
 BLOCK_SIZES = [1, 7, analysis.BLOCK_ROWS, 10**6]
@@ -642,6 +642,30 @@ class TestLeanXsNorm:
         rough = np.cumsum(rng.random(n))
         rough[650:] = rough[650]
         self._compare([flat_top, rising, rough, np.zeros(n)], 1.5)
+
+    def test_finite_weights_match_masked_form(self, rng):
+        # where every weight is finite, |d| * w is formed at every entry: a
+        # zero d of either sign gives +0.0, as the masked product into zeros
+        # does, and nan, inf and overflowing products come out the same,
+        # with no overflow warning
+        a = rng.normal(size=(7, 21))
+        d = rng.normal(size=(7, 20))
+        d[0, 3:7] = 0.0
+        d[1, ::2] = -0.0
+        d[2, 5] = math.nan
+        d[3, 4], d[3, 9] = math.inf, -math.inf
+        d[4, 17] = 1e300  # times 2**(s * 18) overflows
+        d[5] = -0.0
+        a[6, 2] = math.nan
+        for s in (0.5, 1.5, 50.0):
+            w = _xs_weights(21, s)
+            assert np.isfinite(w).all()
+            with np.errstate(over="ignore"):
+                masked = np.multiply(np.abs(d), w, out=np.zeros(d.shape), where=d != 0.0)
+                ref = np.abs(a).max(axis=-1) + masked.max(axis=-1)
+            assert repr(_xs_norms(a, d, s).tolist()) == repr(ref.tolist())
+            for row, r in zip(zip(a, d), ref):
+                assert repr(float(_xs_norms(*row, s))) == repr(float(r))
 
     def test_zeros_and_negative_diffs(self, rng):
         rows = [rng.normal(size=13) for _ in range(5)]

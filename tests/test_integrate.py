@@ -255,7 +255,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", [Scheme.EXPLICIT_ADAPTIVE, Scheme.REFERENCE_FIXED_RK4])
     def test_overflow_warnings_do_not_leak(self, scheme):
         # a large front at K=64 overflows inside the step attempts; the
-        # isfinite checks stop the run, so numpy must stay silent
+        # inf error norm or RK4's finiteness scan stops the run, so numpy
+        # must stay silent
         p = ModelParams(alpha=0.25, trunc_k=64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -543,18 +544,31 @@ class TestDormandPrince:
             y_new[0] = 1.0
 
     def test_attempts_leave_earlier_states_alone(self):
-        # the stages are written into the stepper's own buffers: no attempt
-        # writes into the caller's state or a state an earlier attempt returned
+        # the stages are written into the stepper's own buffers, through the
+        # views of its stage plan, and the error norm into the run's: no
+        # attempt writes into the caller's state or a state an earlier
+        # attempt returned
         p, s0, _, c, _ = DP_CASES["scan_front_k20"]
         rhs = integrate_module._build_rhs(p)
         stepper = integrate_module._DormandPrince(rhs, p.n_modes)
-        buffers = (stepper._ks, stepper._g, stepper._err)
+        norm = integrate_module._ErrorNorm(p.n_modes, c)
+        ks, n = stepper._ks, p.n_modes
+        views = [(stepper._k0, 0, (n,)), (stepper._ks6, 0, (6, n)), (stepper._k6, 6, (n,))]
+        for i, (row, prior, k) in enumerate(stepper._plan, start=1):
+            assert row is integrate_module._DP_A[i]
+            views += [(prior, 0, (i, n)), (k, i, (n,))]
+        plan = [tuple(map(id, entry)) for entry in stepper._plan]
+        for view, first, shape in views:
+            assert view.base is ks and view.shape == shape
+            assert view.ctypes.data == ks[first].ctypes.data
+        buffers = (ks, stepper._g, stepper._err, norm._abs_y, norm._abs_new, norm._scale, norm._q)
         y = s0.a.copy()
         states, copies = [y], [y.copy()]
 
         def run(t, start, dt, accepted):
             y_new, err = stepper.attempt(t, start, dt)
-            error = integrate_module._scaled_error(err, start, y_new, c.rel_tol, c.abs_tol)
+            error = norm(err, start, y_new)
+            assert repr(error) == repr(_scaled_error(err, start, y_new, c.rel_tol, c.abs_tol))
             assert (error <= 1.0) == accepted
             assert not any(np.shares_memory(y_new, a) for a in (*buffers, *states))
             assert not np.shares_memory(err, y_new)
@@ -568,6 +582,202 @@ class TestDormandPrince:
         run(1e-5, y1, 1e-3, accepted=False)  # reuses the last stage of the first attempt
         y2 = run(1e-5, y1, 1e-5, accepted=True)  # the retry reuses the first stage
         run(2e-5, y2, 1e-5, accepted=True)  # and reuses the last stage again
+        assert [tuple(map(id, entry)) for entry in stepper._plan] == plan
+
+
+def _scaled_error(err, y_old, y_new, rtol, atol):
+    """The error norm as first written, allocating: the oracle of ``_ErrorNorm``."""
+    scale = np.maximum(np.abs(y_old), np.abs(y_new))
+    scale *= rtol
+    scale += atol
+    v = float((np.abs(err) / scale).max())
+    return math.inf if math.isnan(v) else v
+
+
+def _reference_attempt(stepper, norm, t, y, h, controls):
+    """``_attempt`` as first written: every step scanned for non-finite entries,
+    then the oracle norm; ``norm`` is not used."""
+    y_new, err = stepper.attempt(t, y, h)
+    if not np.isfinite(y_new).all():
+        err_norm = math.inf
+    elif err is None:
+        return y_new, h, None
+    else:
+        err_norm = _scaled_error(err, y, y_new, controls.rel_tol, controls.abs_tol)
+    if not math.isfinite(err_norm) and (err is None or h <= 4.0 * controls.dt_min):
+        return None, h, Termination.ESCAPE_DETECTED
+    accepted = err_norm <= 1.0
+    cap = 5.0 if accepted else 1.0
+    fac = cap if err_norm == 0.0 else min(cap, max(0.2, 0.9 * err_norm**-stepper.err_exponent))
+    h_next = h * fac
+    if stepper.ladder:
+        h_next = integrate_module._rung(h_next, controls, lift=accepted)
+    if accepted:
+        return y_new, h_next, None
+    return None, h_next, Termination.STEP_UNDERFLOW if h_next < controls.dt_min else None
+
+
+def _poisoned(f, call, index, value):
+    """The right-hand side ``f`` with ``value`` written into entry ``index`` of its ``call``-th result."""
+    calls = []
+
+    def g(y, out=None):
+        out = f(y) if out is None else f(y, out)
+        calls.append(None)
+        if len(calls) == call:
+            out[index] = value
+        return out
+
+    return g
+
+
+def _decision(result):
+    y_new, h_next, stop = result
+    return (None if y_new is None else y_new.tobytes()), repr(h_next), stop
+
+
+class TestStepDecision:
+    """The error norm in the run's buffers and the decision of ``_attempt``, bit for bit
+    against the allocating norm and the finiteness scan of every step."""
+
+    NON_FINITE = [math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def _steppers(scheme, p, make_f):
+        """Two identical steppers of ``scheme``, each on its own right-hand side ``make_f()``."""
+        if scheme is Scheme.DUHAMEL_IMEX:
+            m = integrate_module.dissipation_matrix(p)
+            return [integrate_module._Etdrk4(m, make_f()) for _ in range(2)]
+        if scheme is Scheme.EXPLICIT_ADAPTIVE:
+            return [integrate_module._DormandPrince(make_f(), p.n_modes) for _ in range(2)]
+        return [integrate_module._Rk4Kahan(make_f()) for _ in range(2)]
+
+    def test_norm_equals_oracle_over_attempt_sequence(self):
+        # |y| is reused only for the state it was taken of: after accepted,
+        # rejected and retried attempts, a fresh start from an equal copy or
+        # from other data, and a return to an older state
+        p, s0, _, c, _ = DP_CASES["scan_front_k20"]
+        stepper = integrate_module._DormandPrince(integrate_module._build_rhs(p), p.n_modes)
+        norm = integrate_module._ErrorNorm(p.n_modes, c)
+        outcomes = []
+
+        def run(y, dt):
+            y_new, err = stepper.attempt(0.0, y, dt)
+            got = norm(err, y, y_new)
+            assert repr(got) == repr(_scaled_error(err, y, y_new, c.rel_tol, c.abs_tol))
+            outcomes.append(got <= 1.0)
+            return y_new
+
+        y0 = s0.a.copy()
+        y1 = run(y0, 1e-5)
+        run(y1, 1e-3)
+        y2 = run(y1, 1e-5)
+        y3 = run(y2, 2e-5)
+        run(y2.copy(), 1e-5)
+        run(gen_front(20, 5, 1.2, 0.5, 3.0).a.copy(), 1e-5)
+        run(y1, 1e-5)
+        run(y3, 1e-3)
+        run(y0, 1e-5)
+        assert outcomes == [True, False, True, True, True, True, True, False, True]
+
+    @pytest.mark.parametrize("case", ["stiff_rejections", "front_rejections"])
+    def test_norm_equals_oracle_along_runs(self, case, monkeypatch):
+        p, s0, t_end, c, kw = DP_CASES[case]
+        original = integrate_module._ErrorNorm.__call__
+        calls = []
+
+        def checked(self, err, y, y_new):
+            got = original(self, err, y, y_new)
+            assert repr(got) == repr(_scaled_error(err, y, y_new, c.rel_tol, c.abs_tol))
+            calls.append(got <= 1.0)
+            return got
+
+        monkeypatch.setattr(integrate_module._ErrorNorm, "__call__", checked)
+        integrate(p, s0, t_end, c, **kw)
+        assert calls.count(False) > 10 and calls.count(True) > 100
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("index", [0, 7, 16])
+    @pytest.mark.parametrize("scheme", [Scheme.EXPLICIT_ADAPTIVE, Scheme.DUHAMEL_IMEX])
+    def test_non_finite_step_decided_as_before(self, scheme, index, value):
+        # a non-finite entry forced into a stage reaches y_new; the error
+        # norm is inf without a scan of y_new, so the step is rejected, or
+        # ends the run as an escape within 4 dt_min, as before
+        p, s0, _ = ETD_CASES["imex_front16"]
+        if scheme is Scheme.DUHAMEL_IMEX:
+            f = integrate_module._rhs_inviscid_array
+        else:
+            f = integrate_module._build_rhs(p)
+        for h, dt_min in ((1e-3, 1e-13), (1e-3, 2.5e-4)):
+            c = StepControls(scheme=scheme, dt_min=dt_min, record_every=1e-3)
+            new, ref = self._steppers(scheme, p, lambda: _poisoned(f, 2, index, value))
+            norm = integrate_module._ErrorNorm(p.n_modes, c)
+            with np.errstate(over="ignore", invalid="ignore"):  # as inside integrate
+                got = integrate_module._attempt(new, norm, 0.0, s0.a.copy(), h, c)
+                want = _reference_attempt(ref, None, 0.0, s0.a.copy(), h, c)
+            assert not np.isfinite(new._y_new).all()
+            assert _decision(got) == _decision(want)
+            assert got[0] is None and got[2] is (
+                Termination.ESCAPE_DETECTED if h <= 4.0 * dt_min else None
+            )
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan"])
+    def test_rk4_keeps_its_finiteness_scan(self, value):
+        # a step without an error estimate is scanned: a non-finite one ends the run
+        p, s0, _ = ETD_CASES["imex_front16"]
+        c = StepControls(scheme=Scheme.REFERENCE_FIXED_RK4)
+        f = integrate_module._build_rhs(p)
+        new, ref = self._steppers(Scheme.REFERENCE_FIXED_RK4, p, lambda: _poisoned(f, 3, 5, value))
+        norm = integrate_module._ErrorNorm(p.n_modes, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = integrate_module._attempt(new, norm, 0.0, s0.a.copy(), 1e-3, c)
+            want = _reference_attempt(ref, None, 0.0, s0.a.copy(), 1e-3, c)
+        assert got == (None, 1e-3, Termination.ESCAPE_DETECTED)
+        assert _decision(got) == _decision(want)
+
+    # (scheme, amplitude, exponents j of the sizes 0.05 * 2**-j): on the K = 64
+    # front at amplitude 10 the larger Dormand-Prince attempts overflow; ETDRK4
+    # is stable there, and overflows at amplitude 1e30
+    OVERFLOW_CASES = [(Scheme.EXPLICIT_ADAPTIVE, 10.0, range(-4, 12)),
+                      (Scheme.DUHAMEL_IMEX, 1e30, range(33, 45))]
+
+    @pytest.mark.parametrize("scheme, amplitude, exponents", OVERFLOW_CASES,
+                             ids=["dp", "etdrk4"])
+    def test_overflow_front_attempts_decided_as_before(self, scheme, amplitude, exponents):
+        p = ModelParams(alpha=0.25, trunc_k=64)
+        y = gen_front(64, 4, 1.2, 0.5, amplitude).a.copy()
+        c = StepControls(scheme=scheme, record_every=0.05)
+        if scheme is Scheme.EXPLICIT_ADAPTIVE:
+            f = integrate_module._build_rhs(p)
+        else:
+            f = integrate_module._rhs_inviscid_array
+        finite = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in exponents:
+                h = math.ldexp(0.05, -j)
+                new, ref = self._steppers(scheme, p, lambda: f)
+                norm = integrate_module._ErrorNorm(p.n_modes, c)
+                got = integrate_module._attempt(new, norm, 0.0, y, h, c)
+                assert _decision(got) == _decision(_reference_attempt(ref, None, 0.0, y, h, c))
+                finite.append(bool(np.isfinite(new._y_new).all()))
+        assert finite.count(False) >= 3 and finite.count(True) >= 3
+
+    @pytest.mark.parametrize("scheme, amplitude, termination", [
+        (Scheme.EXPLICIT_ADAPTIVE, 10.0, Termination.ESCAPE_DETECTED),
+        (Scheme.DUHAMEL_IMEX, 10.0, Termination.ESCAPE_DETECTED),
+        # every attempt overflows; the rungs stop short of 4 dt_min
+        (Scheme.DUHAMEL_IMEX, 1e30, Termination.STEP_UNDERFLOW),
+        (Scheme.REFERENCE_FIXED_RK4, 10.0, Termination.ESCAPE_DETECTED),
+    ])
+    def test_overflow_front_runs_unchanged(self, scheme, amplitude, termination, monkeypatch):
+        p = ModelParams(alpha=0.25, trunc_k=64)
+        s0 = gen_front(64, 4, 1.2, 0.5, amplitude)
+        c = StepControls(scheme=scheme)
+        lean = integrate(p, s0, 0.2, c)
+        monkeypatch.setattr(integrate_module, "_attempt", _reference_attempt)
+        ref = integrate(p, s0, 0.2, c)
+        assert lean.termination is termination
+        assert _run_bytes(lean) == _run_bytes(ref)
 
 
 # (params, initial state, t_end, rel_tol) of the dense-output accuracy cases
@@ -1292,11 +1502,12 @@ class TestStepLadder:
         c = StepControls(rel_tol=1e-8, abs_tol=1e-30, dt_init=0.1, dt_min=1e-3,
                          record_every=0.1)
         rung = math.ldexp(0.1, -6)  # 1.5625e-3, the lowest rung >= dt_min
-        y_new, h_next, stop = integrate_module._attempt(Stub(0.99), 0.0, np.ones(3), rung, c)
+        norm = integrate_module._ErrorNorm(3, c)
+        y_new, h_next, stop = integrate_module._attempt(Stub(0.99), norm, 0.0, np.ones(3), rung, c)
         assert y_new is not None and stop is None
         assert h_next == rung
         # rejected: 0.9 * 1.1**-0.5 * rung = 1.34e-3 >= dt_min, snapped 7.8e-4
-        y_new, _, stop = integrate_module._attempt(Stub(1.1), 0.0, np.ones(3), rung, c)
+        y_new, _, stop = integrate_module._attempt(Stub(1.1), norm, 0.0, np.ones(3), rung, c)
         assert y_new is None and stop is Termination.STEP_UNDERFLOW
 
     def test_lift_lands_on_rung_at_or_above_dt_min(self):
