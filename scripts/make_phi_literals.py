@@ -3,7 +3,8 @@
 Run by hand from the repository root, with mpmath installed (it is not a
 dependency of the package)::
 
-    PYTHONPATH=src python3 scripts/make_phi_literals.py
+    PYTHONPATH=src python3 scripts/make_phi_literals.py          # write
+    PYTHONPATH=src python3 scripts/make_phi_literals.py --check  # compare
 
 For each case (alpha, K, h) the dissipation matrix M is built from the
 defining double sum (plateau tail) in mpmath arithmetic, with alpha, h and
@@ -12,12 +13,15 @@ float64 values.  phi_0..phi_3 come from the exponential of the augmented
 block ``[[-h M, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0]``, whose top block
 row holds them (the construction ``integrate._phi_blocks`` uses), at 60 and
 at 80 digits; the script stops if the two disagree beyond 1e-40 relative.
-The literals are the 80-digit values rounded to float64.
+The literals are the 80-digit values rounded to float64.  ``--check``
+writes nothing: it compares the text it would write with the committed file
+and exits 1 on a difference.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import mpmath as mp
 
@@ -69,7 +73,7 @@ def phi_actions(alpha: float, kmax: int, h: float, dps: int) -> list[list[mp.mpf
         ]
 
 
-def main() -> None:
+def literals_text() -> str:
     lines = [
         '"""phi_0..phi_3(-h M) a of the front datum (4, 1.2, 0.5, 10), from mpmath.',
         "",
@@ -91,8 +95,18 @@ def main() -> None:
             lines.append("        [" + ", ".join(repr(float(x)) for x in row) + "],")
         lines.append("    ],")
     lines.append("}")
-    OUT.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: list[str]) -> int:
+    text = literals_text()
+    if "--check" in argv:
+        same = OUT.read_text() == text
+        print(f"{OUT.name}: {'matches' if same else 'differs from'} the mpmath values")
+        return 0 if same else 1
+    OUT.write_text(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -152,15 +152,12 @@ def cmd_scan(args) -> int:
 
 def cmd_semigroup(args) -> int:
     cfg = load_config(args.config)
-    if cfg.params.alpha <= 0.0:
-        logger.error("semigroup requires alpha > 0")
-        return 1
     p = cfg.params
     state0 = build_initial_state(cfg.scenario, p.trunc_k)
     times, states = linear_semigroup_samples(p, state0, cfg.t_end, cfg.controls.record_every)
     norms = _xs_norms(states, np.diff(states, axis=1), p.norm_s)
     prefix = _prefix(cfg, args)
-    path = output.write_series_csv((times, norms), ["t", "xs_norm"], prefix + "_semigroup.csv")
+    path = output.write_series_csv((times, norms), prefix + "_semigroup.csv")
     ok = bool(np.all(norms[1:] <= norms[:-1] + 1e-9))
     _emit(args, f"semigroup: {'contracting' if ok else 'NORM INCREASED'} -> {path}")
     return 0 if ok else 3

@@ -86,6 +86,7 @@ from dyadicflow.model import (
     DyadicState,
     InvalidInputError,
     ModelParams,
+    _check_norm_s,
     _check_state,
     _rhs_inviscid_array,
     _slopes_array,
@@ -893,6 +894,7 @@ def detect_escape(traj: Trajectory, threshold: float, s: float) -> Optional[floa
     test of :func:`integrate` (:func:`_first_escape`).  A threshold of inf
     never fires, whatever the initial norm.
     """
+    _check_norm_s(s)
     a0 = traj.states[0]
     if not (threshold > _xs_norms(a0, np.diff(a0), s) or threshold == math.inf):
         raise DomainError("threshold must exceed the initial norm or be inf")

@@ -69,8 +69,7 @@ class ModelParams:
             raise DomainError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.trunc_k < 2:
             raise DomainError(f"trunc_k must be >= 2, got {self.trunc_k}")
-        if not (self.norm_s > 0.0 and math.isfinite(self.norm_s)):
-            raise DomainError(f"norm_s must be finite and > 0, got {self.norm_s}")
+        _check_norm_s(self.norm_s, "norm_s")
         if not isinstance(self.tail, Tail):
             raise DomainError(f"tail must be a Tail value, got {self.tail!r}")
 
@@ -109,14 +108,19 @@ class DyadicState:
         return self.a.size - 1
 
 
+def _check_norm_s(s: float, name: str = "s") -> None:
+    """Refuse a smoothness index ``s`` of the X^s norm that is not finite and > 0."""
+    if not (s > 0.0 and math.isfinite(s)):
+        raise DomainError(f"{name} must be finite and > 0, got {s}")
+
+
 def cs_constant(s: float) -> float:
     """Threshold constant ``c_s = (3/4)(2**s-1)^{-1}(1 - 1/(2**(s+1)-1))``.
 
     Used as the dominance threshold in the coercivity inequality: the
     inequality applies at indices where ``b_{k,s} > c_s * ||a||_{X^s}``.
     """
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s}")
+    _check_norm_s(s)
     return 0.75 / (2.0**s - 1.0) * (1.0 - 1.0 / (2.0 ** (s + 1.0) - 1.0))
 
 
@@ -330,8 +334,7 @@ def _xs_weights(size: int, s: float) -> np.ndarray:
 
 def xs_norm(state: DyadicState, s: float) -> float:
     """Norm ``sup_k |a_k| + sup_{k>=1} |a_k - a_{k-1}| * 2**(s*k)``."""
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s}")
+    _check_norm_s(s)
     return float(_xs_norms(state.a, np.diff(state.a), s))
 
 
@@ -377,8 +380,7 @@ def weighted_slopes(state: DyadicState, s: float) -> np.ndarray:
     ``b_{k,s} = b_k * 2**((s-1)*k)``; an entry with ``a_k = a_{k-1}`` is 0
     also where the weight overflows.
     """
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s}")
+    _check_norm_s(s)
     d = np.diff(state.a)
     bs = np.zeros(state.a.size)
     with np.errstate(over="ignore"):

@@ -1,4 +1,4 @@
-"""File emission: trajectory/state/profile CSVs, report and blow-up JSON.
+"""Output files: trajectory, state, profile, series and scan CSVs, report and blow-up JSON.
 
 Every file is emitted from columns.  A float column is formatted in bulk:
 one ``repr`` of the column's list, split on ``", "``, gives the ``repr`` of
@@ -11,6 +11,10 @@ formatted and written :data:`~dyadicflow.analysis.BLOCK_ROWS` rows at a time,
 except the blow-up JSON's time column, formatted whole for its two series,
 and the time and J columns that :func:`save_outputs` formats whole, once for
 both the trajectory CSV and the blow-up JSON.
+Each CSV file's columns are declared once, in a table of :class:`Column`
+entries that gives the header, the writer's column order and the type each
+cell is read back as by :func:`_read_csv`.  The reports JSON is the list of
+the :class:`~dyadicflow.analysis.InvariantReport` fields of each report.
 Writes go through a temp-file rename, so partially written outputs never
 appear, and nothing time- or host-dependent is emitted (re-running a command
 with the same inputs reproduces byte-identical files).
@@ -19,11 +23,13 @@ with the same inputs reproduces byte-identical files).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import os
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,13 +39,42 @@ from dyadicflow.integrate import Trajectory
 from dyadicflow.model import DyadicState, slopes, weighted_slopes
 from dyadicflow.scenarios import profile_reconstruction
 
-TRAJECTORY_HEADER = [
-    "t", "a_0", "sup_a", "xs_norm", "J", "max_ratio", "front_index",
-    "holder_half", "termination",
-]
-STATE_HEADER = ["k", "a_k", "b_k", "b_ks"]
-PROFILE_HEADER = ["x", "y"]
-SCAN_HEADER = ["alpha", "K", "max_norm", "escape_time"]
+
+class Column(NamedTuple):
+    """One CSV column: its header name, the type its cells read as and its source.
+
+    ``field`` is the attribute path of the :class:`Trajectory` a trajectory
+    column is written from; the other writers take their columns in table order.
+    """
+
+    name: str
+    type: type
+    field: str = ""
+
+
+TRAJECTORY_COLUMNS = (
+    Column("t", float, "times"),
+    Column("a_0", float, "diag.a0"),
+    Column("sup_a", float, "diag.sup_a"),
+    Column("xs_norm", float, "diag.xs_norm"),
+    Column("J", float, "diag.j_value"),
+    Column("max_ratio", float, "diag.max_ratio"),
+    Column("front_index", int, "diag.front_index"),
+    Column("holder_half", float, "diag.holder_half"),
+    Column("termination", str, "termination.value"),
+)
+STATE_COLUMNS = (Column("k", int), Column("a_k", float), Column("b_k", float), Column("b_ks", float))
+PROFILE_COLUMNS = (Column("x", float), Column("y", float))
+SERIES_COLUMNS = (Column("t", float), Column("xs_norm", float))
+# an escape time cell is empty for a cell that did not escape
+SCAN_COLUMNS = (
+    Column("alpha", float), Column("K", int), Column("max_norm", float),
+    Column("escape_time", float),
+)
+
+TRAJECTORY_HEADER = [c.name for c in TRAJECTORY_COLUMNS]
+STATE_HEADER = [c.name for c in STATE_COLUMNS]
+SCAN_HEADER = [c.name for c in SCAN_COLUMNS]
 
 
 def _atomic_write(path, chunks) -> Path:
@@ -66,18 +101,18 @@ def _cells(column: np.ndarray) -> list[str]:
     return text.split(", ") if text else []
 
 
-def _write_csv(path, header, columns) -> Path:
-    """Write a header row and the columns as one CSV file, a block of rows at a time.
+def _write_csv(path, table, columns) -> Path:
+    """Write the table's header row and the columns as one CSV file, a block of rows at a time.
 
-    A column is a numpy array (formatted through :func:`_cells`), a string
-    repeated on every row, or a list of ready cells.  Header names and string
-    cells are written as they are, so they must hold no comma, quote or line
-    break.
+    The columns are in table order.  A column is a numpy array (formatted
+    through :func:`_cells`), a string repeated on every row, or a list of
+    ready cells.  Header names and string cells are written as they are, so
+    they must hold no comma, quote or line break.
     """
     n = min(len(c) for c in columns if not isinstance(c, str))
 
     def blocks():
-        yield ",".join(header) + "\r\n"
+        yield ",".join(c.name for c in table) + "\r\n"
         for lo in range(0, n, analysis.BLOCK_ROWS):
             hi = lo + analysis.BLOCK_ROWS
             cells = [
@@ -90,108 +125,79 @@ def _write_csv(path, header, columns) -> Path:
     return _atomic_write(path, blocks())
 
 
+def _read_csv(path, table) -> Iterator[tuple]:
+    """The rows of a CSV file written from ``table``, each cell read as its column's type.
+
+    An empty cell reads as ``None``.  A header other than the table's, or a
+    row with another number of cells, raises ``ValueError``.  Rows are
+    yielded one at a time, so a reader that makes dicts of them holds no
+    second list.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header, expected = next(reader, None), [c.name for c in table]
+        if header != expected:
+            raise ValueError(f"{path}: header {header} is not {expected}")
+        for row in reader:
+            yield tuple(c.type(cell) if cell else None for c, cell in zip(table, row, strict=True))
+
+
 def write_trajectory_csv(traj: Trajectory, path, times=None, j_value=None) -> Path:
     """One row per sample with the scalar diagnostics and the termination.
 
     ``times`` and ``j_value``, if given, are the ready cells of those columns.
     """
-    d = traj.diag
-    columns = (traj.times if times is None else times, d.a0, d.sup_a, d.xs_norm,
-               d.j_value if j_value is None else j_value, d.max_ratio, d.front_index,
-               d.holder_half, traj.termination.value)
-    return _write_csv(path, TRAJECTORY_HEADER, columns)
+    ready = {"t": times, "J": j_value}
+    columns = [attrgetter(c.field)(traj) if ready.get(c.name) is None else ready[c.name]
+               for c in TRAJECTORY_COLUMNS]
+    return _write_csv(path, TRAJECTORY_COLUMNS, columns)
 
 
 def read_trajectory_csv(path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "t": float(row["t"]),
-                    "a_0": float(row["a_0"]),
-                    "sup_a": float(row["sup_a"]),
-                    "xs_norm": float(row["xs_norm"]),
-                    "J": float(row["J"]),
-                    "max_ratio": float(row["max_ratio"]),
-                    "front_index": int(row["front_index"]),
-                    "holder_half": float(row["holder_half"]),
-                    "termination": row["termination"],
-                }
-            )
-    return rows
+    """One dict per row, keyed by header name."""
+    return [dict(zip(TRAJECTORY_HEADER, row)) for row in _read_csv(path, TRAJECTORY_COLUMNS)]
 
 
 def write_state_csv(state: DyadicState, s: float, path) -> Path:
     """Dump ``k, a_k, b_k, b_{k,s}`` for every stored index."""
     b = slopes(state)
     bs = weighted_slopes(state, s)
-    return _write_csv(path, STATE_HEADER, (np.arange(state.k + 1), state.a, b, bs))
+    return _write_csv(path, STATE_COLUMNS, (np.arange(state.k + 1), state.a, b, bs))
 
 
 def read_state_csv(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [
-            {"k": int(r["k"]), "a_k": float(r["a_k"]), "b_k": float(r["b_k"]),
-             "b_ks": float(r["b_ks"])}
-            for r in csv.DictReader(fh)
-        ]
+    """One dict per stored index, keyed by header name."""
+    return [dict(zip(STATE_HEADER, row)) for row in _read_csv(path, STATE_COLUMNS)]
 
 
 def write_profile_csv(columns, path) -> Path:
     """Profile reconstruction columns ``(x, y)`` as ``x,y`` rows."""
-    return _write_csv(path, PROFILE_HEADER, columns)
+    return _write_csv(path, PROFILE_COLUMNS, columns)
 
 
 def read_profile_csv(path) -> list[tuple[float, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [(float(r["x"]), float(r["y"])) for r in csv.DictReader(fh)]
+    return list(_read_csv(path, PROFILE_COLUMNS))
 
 
-def write_series_csv(columns, header, path) -> Path:
-    """Scalar series columns (e.g. ``(t, xs_norm)``) as CSV, one header name each."""
-    return _write_csv(path, header, columns)
+def write_series_csv(columns, path) -> Path:
+    """The semigroup's X^s norm series, columns ``(t, xs_norm)``, as ``t,xs_norm`` rows."""
+    return _write_csv(path, SERIES_COLUMNS, columns)
 
 
 def read_series_csv(path) -> list[tuple[float, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [(float(a), float(b)) for a, b in reader]
-
-
-def _report_obj(rep: InvariantReport) -> dict:
-    t, idx = rep.worst_location
-    return {
-        "name": rep.name,
-        "passed": rep.passed,
-        "worst_margin": rep.worst_margin,
-        "worst_location": [t, idx],
-        "tolerance": rep.tolerance,
-    }
+    return list(_read_csv(path, SERIES_COLUMNS))
 
 
 def write_reports_json(reports, path) -> Path:
-    text = json.dumps([_report_obj(r) for r in reports], indent=2)
+    """One object of the :class:`InvariantReport` fields per report."""
+    text = json.dumps([dataclasses.asdict(r) for r in reports], indent=2)
     return _atomic_write(path, (text, "\n"))
 
 
 def read_reports_json(path) -> list[InvariantReport]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    out = []
-    for obj in data:
-        t, idx = obj["worst_location"]
-        out.append(
-            InvariantReport(
-                name=obj["name"],
-                passed=obj["passed"],
-                worst_margin=obj["worst_margin"],
-                worst_location=(t, idx),
-                tolerance=obj["tolerance"],
-            )
-        )
-    return out
+        return [InvariantReport(**{**obj, "worst_location": tuple(obj["worst_location"])})
+                for obj in json.load(fh)]
 
 
 def _pairs_json(first: list[str], second):
@@ -235,25 +241,14 @@ def write_blowup_json(diag: BlowupDiagnostics, path, times=None, j_value=None) -
 
 def write_scan_csv(rows, path) -> Path:
     """Sweep summary rows ``(alpha, K, max_norm, escape_time-or-None)``."""
-    alpha, kk, max_norm, esc = tuple(zip(*rows)) or ((),) * 4
-    columns = (
-        np.asarray(alpha, dtype=float), np.asarray(kk, dtype=np.int64),
-        np.asarray(max_norm, dtype=float), ["" if e is None else repr(float(e)) for e in esc],
-    )
-    return _write_csv(path, SCAN_HEADER, columns)
+    *numbers, esc = tuple(zip(*rows)) or ((),) * 4
+    columns = [np.asarray(col, dtype=c.type) for c, col in zip(SCAN_COLUMNS, numbers)]
+    columns.append(["" if e is None else repr(float(e)) for e in esc])
+    return _write_csv(path, SCAN_COLUMNS, columns)
 
 
 def read_scan_csv(path) -> list[tuple[float, int, float, Optional[float]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [
-            (
-                float(r["alpha"]),
-                int(r["K"]),
-                float(r["max_norm"]),
-                float(r["escape_time"]) if r["escape_time"] != "" else None,
-            )
-            for r in csv.DictReader(fh)
-        ]
+    return list(_read_csv(path, SCAN_COLUMNS))
 
 
 def save_outputs(traj: Trajectory, reports, prefix) -> dict[str, Path]:

@@ -27,12 +27,18 @@ from dyadicflow.config import (
     save_config,
 )
 from dyadicflow.output import (
+    PROFILE_COLUMNS,
+    SCAN_COLUMNS,
     SCAN_HEADER,
+    SERIES_COLUMNS,
+    STATE_COLUMNS,
     STATE_HEADER,
+    TRAJECTORY_COLUMNS,
     TRAJECTORY_HEADER,
     read_profile_csv,
     read_reports_json,
     read_scan_csv,
+    read_series_csv,
     read_state_csv,
     read_trajectory_csv,
     save_outputs,
@@ -326,7 +332,7 @@ class TestOutputs:
     def test_series_csv_bytes(self, tmp_path):
         columns = (np.array([0.1, 0.2, 0.3]), np.array([9.5, 1e-300, np.nan]))
         series = list(zip(*columns))
-        path = write_series_csv(columns, ["t", "xs_norm"], tmp_path / "x.csv")
+        path = write_series_csv(columns, tmp_path / "x.csv")
         assert path.read_bytes() == csv_oracle(["t", "xs_norm"], [map(float, r) for r in series])
 
     def test_trajectory_diagnostics_recompute_from_state(self, tmp_path, traj):
@@ -515,6 +521,57 @@ class TestOutputs:
             output._atomic_write(path, chunks())
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+    @pytest.mark.parametrize("table, reader", [
+        (TRAJECTORY_COLUMNS, read_trajectory_csv), (STATE_COLUMNS, read_state_csv),
+        (PROFILE_COLUMNS, read_profile_csv), (SERIES_COLUMNS, read_series_csv),
+        (SCAN_COLUMNS, read_scan_csv),
+    ])
+    def test_every_csv_round_trips(self, tmp_path, table, reader):
+        # what a table's columns hold reads back through the public reader,
+        # value for value and type for type; an empty escape time reads as None
+        values = {
+            float: [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1],
+            int: [-30, 0, 7, 2**53 + 1, -1, 3],
+            str: ["reached_t_end", "escape_detected", "a", "b", "c", "d"],
+        }
+        columns, rows = [], []
+        for c in table:
+            col = values[c.type]
+            if c.name == "escape_time":
+                columns.append(["", *map(repr, col[1:])])
+                col = [None, *col[1:]]
+            else:
+                columns.append(np.array(col) if c.type is not str else col)
+            rows.append(col)
+        path = output._write_csv(tmp_path / "x.csv", table, columns)
+        got = reader(path)
+        if isinstance(got[0], dict):
+            assert all(list(r) == [c.name for c in table] for r in got)
+            got = [tuple(r.values()) for r in got]
+
+        def typed(rows):
+            return [[(type(v), repr(v)) for v in row] for row in rows]
+
+        assert typed(got) == typed(zip(*rows))
+
+    def test_csv_reader_checks_header_and_row_width(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("x,y\r\n1.0,2.0\r\n")
+        with pytest.raises(ValueError, match="header"):
+            read_series_csv(path)
+        path.write_text("t,xs_norm\r\n1.0\r\n")
+        with pytest.raises(ValueError):
+            read_series_csv(path)
+
+    def test_readme_output_headers_match_tables(self):
+        # each CSV named in the README's output section, with the header it quotes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Output files", 1)[1].split("\n#", 1)[0]
+        quoted = dict(re.findall(r"`P_(\w+)\.csv`[^`]*`([^`]*)`", section))
+        tables = {"trajectory": TRAJECTORY_COLUMNS, "state": STATE_COLUMNS,
+                  "profile": PROFILE_COLUMNS, "semigroup": SERIES_COLUMNS, "scan": SCAN_COLUMNS}
+        assert quoted == {name: ",".join(c.name for c in t) for name, t in tables.items()}
 
     def test_byte_identical_rewrites(self, tmp_path, traj):
         p1 = write_trajectory_csv(traj, tmp_path / "a.csv")

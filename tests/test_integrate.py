@@ -1138,6 +1138,14 @@ class TestDetectEscape:
         with pytest.raises(DomainError):
             detect_escape(traj, threshold=0.0, s=1.5)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_norm_index_finite_and_positive(self, s):
+        # refused by name, not returned as None nor read as a bad threshold
+        p = ModelParams(alpha=0.3, trunc_k=4)
+        traj = integrate(p, constant_state(4), 0.5, StepControls(record_every=0.1))
+        with pytest.raises(DomainError, match=f"^s must be finite and > 0, got {s}$"):
+            detect_escape(traj, threshold=10.0, s=s)
+
 
 class TestPhiTables:
     def test_augmented_exponential_blocks(self, rng):

@@ -72,6 +72,18 @@ class TestTypes:
         with pytest.raises(DomainError):
             ModelParams(alpha=0.25, trunc_k=8, norm_s=0.0)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_norm_index_finite_and_positive(self, s):
+        # one rule and one message for the X^s index wherever it is taken
+        st_ = state([0.0, 0.5, 1.0])
+        for fn in (xs_norm, weighted_slopes):
+            with pytest.raises(DomainError, match=f"^s must be finite and > 0, got {s}$"):
+                fn(st_, s)
+        with pytest.raises(DomainError, match=f"^s must be finite and > 0, got {s}$"):
+            cs_constant(s)
+        with pytest.raises(DomainError, match=f"^norm_s must be finite and > 0, got {s}$"):
+            ModelParams(alpha=0.25, trunc_k=8, norm_s=s)
+
     def test_state_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
             state([0.0, np.nan, 1.0])
